@@ -15,9 +15,16 @@
 //!    sidecar must be output-invisible until a fault actually fires.
 //! 4. f32 vs Q16.16 engines — the class decision must agree wherever
 //!    the f32 top-1/top-2 margin clears a quantization guard band.
+//!
+//! A fifth pair, [`diff_batch_vs_sequential`], runs on its own (outside
+//! [`fuzz_diff`], whose case count and digest stay fixed): the
+//! batch-major [`HardenedPool`] path against a sequential
+//! [`HardenedEngine::classify_indexed`] loop under random hardening
+//! configs, fault plans, batch splits and weight strikes.
 
 use safex_nn::{
-    CrcStrategy, EccConfig, Engine, HardenConfig, HardenedEngine, HardenedPool, QEngine, QModel,
+    ActivationFault, CheckedClassification, CrcStrategy, EccConfig, Engine, FaultInjector,
+    FaultPlan, HardenConfig, HardenedEngine, HardenedPool, InputFault, QEngine, QModel,
 };
 use safex_tensor::{DetRng, Q16_16};
 
@@ -170,6 +177,93 @@ pub fn diff_f32_vs_q16(seed: u64, cases: usize, guard: f32) -> (u64, Vec<DiffFin
     (counted, findings)
 }
 
+/// Batch-major [`HardenedPool::classify_batch`] vs a sequential
+/// [`HardenedEngine::classify_indexed`] loop, item by item
+/// (classification, events, injections). `seed` draws the CRC strategy,
+/// cadence (1–4), repair on/off, an optional input + activation fault
+/// plan, the worker count (1–3), the batch splits (1–20 items) and a
+/// schedule of 1- or 2-bit weight strikes landing between batches.
+pub fn diff_batch_vs_sequential(seed: u64, cases: usize) -> (u64, Vec<DiffFinding>) {
+    let mut rng = DetRng::new(seed ^ 0xBA7C_4ED5);
+    let strategy =
+        [CrcStrategy::Full, CrcStrategy::Rotating, CrcStrategy::Fused][rng.below_usize(3)];
+    let cadence = 1 + rng.below(4);
+    let repair = rng.chance(0.5);
+    let (mut engine, _) = engine_with(strategy, cadence, repair, seed);
+    if rng.chance(0.5) {
+        let plan = FaultPlan {
+            seed: rng.next_u64(),
+            input: Some(InputFault::Noise {
+                sigma: rng.range_f64(0.1, 3.0),
+                p: rng.next_f64(),
+            }),
+            activation: Some(ActivationFault {
+                p: rng.next_f64() * 0.5,
+                bits: 1 + rng.below(3) as u32,
+            }),
+        };
+        engine.set_plan(plan).expect("valid plan");
+    }
+    let workers = 1 + rng.below_usize(3);
+    let inputs = fuzz_inputs(seed, cases, 6);
+    // (batch length, strike before it: injector seed and bits per flip).
+    let mut schedule = Vec::new();
+    let mut left = cases;
+    while left > 0 {
+        let len = (1 + rng.below_usize(20)).min(left);
+        let strike = rng
+            .chance(0.25)
+            .then(|| (rng.next_u64(), 1 + rng.below(2) as u32));
+        schedule.push((len, strike));
+        left -= len;
+    }
+    let strike = |engine: &mut HardenedEngine, (seed, bits): (u64, u32)| {
+        FaultInjector::new(seed)
+            .flip_weight_bits(engine.model_mut(), 1, bits)
+            .expect("model has parameters");
+    };
+
+    let mut seq = engine.clone();
+    let mut expected = Vec::with_capacity(cases);
+    let mut pool = HardenedPool::new(&engine, workers).expect("pool");
+    let mut got = Vec::with_capacity(cases);
+    let mut at = 0;
+    for &(len, hit) in &schedule {
+        if let Some(hit) = hit {
+            strike(&mut seq, hit);
+            pool.engines_mut().iter_mut().for_each(|e| strike(e, hit));
+        }
+        for (k, input) in inputs[at..at + len].iter().enumerate() {
+            let classification = seq
+                .classify_indexed((at + k) as u64, input)
+                .expect("sequential");
+            expected.push(CheckedClassification {
+                classification,
+                events: seq.last_events().to_vec(),
+                injections: seq.last_injections().to_vec(),
+            });
+        }
+        got.extend(pool.classify_batch(&inputs[at..at + len]).expect("batch"));
+        at += len;
+    }
+    let findings = expected
+        .iter()
+        .zip(&got)
+        .enumerate()
+        .filter(|(_, (e, g))| e != g)
+        .map(|(case, (e, g))| DiffFinding {
+            oracle: "batch-vs-sequential".into(),
+            seed,
+            case,
+            detail: format!(
+                "{strategy:?} cadence {cadence} repair {repair} {workers} workers: \
+                 sequential {e:?} != batch {g:?}"
+            ),
+        })
+        .collect();
+    (cases as u64, findings)
+}
+
 /// Runs all four oracles across `rounds` model seeds; returns
 /// `(cases, findings)`.
 pub fn fuzz_diff(seed: u64, rounds: u64, cases_per_round: usize) -> (u64, Vec<DiffFinding>) {
@@ -193,6 +287,17 @@ pub fn fuzz_diff(seed: u64, rounds: u64, cases_per_round: usize) -> (u64, Vec<Di
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn batch_path_agrees_with_sequential_loop() {
+        let mut total = 0;
+        for seed in 0..48u64 {
+            let (cases, findings) = diff_batch_vs_sequential(seed, 40);
+            total += cases;
+            assert!(findings.is_empty(), "{findings:?}");
+        }
+        assert_eq!(total, 48 * 40);
+    }
 
     #[test]
     fn pinned_pairs_agree() {

@@ -228,7 +228,8 @@ impl Engine {
     ///
     /// Returns `(output_len, output_in_arena_a)`; item `i`'s output lives
     /// at `arena[i * max_activation_len ..][..output_len]`. Dense layers
-    /// run the batched kernel (each weight row streamed once per batch);
+    /// run the batched kernel (each weight row streamed once per item
+    /// tile);
     /// every other layer runs per item over its arena slot. Results are
     /// bit-identical to per-item [`Engine::infer`].
     fn run_batch<I: AsRef<[f32]>>(&mut self, inputs: &[I]) -> Result<(usize, bool), NnError> {
@@ -297,8 +298,8 @@ impl Engine {
     ///
     /// One arena (re)allocation per call at most — activations for the
     /// whole batch live in two ping-pong slabs reused across layers and
-    /// across calls — and dense weight rows are streamed once per batch
-    /// instead of once per item. Outputs are bit-identical to calling
+    /// across calls — and dense weight rows are streamed once per item
+    /// tile (up to 16 items) instead of once per item. Outputs are bit-identical to calling
     /// [`Engine::infer`] on each item.
     ///
     /// # Errors

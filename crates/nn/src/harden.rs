@@ -21,21 +21,24 @@
 //! [`crate::EnginePool`]. Per-decision work — injections from an attached
 //! [`FaultPlan`] and every detection — is keyed by a global *decision
 //! index*, so pooled execution is bit-identical to sequential execution
-//! for any worker count.
+//! for any worker count. A pooled batch runs batch-major
+//! ([`HardenedEngine::classify_batch_indexed`]): every per-decision check
+//! still runs per item, while the layer sweep is shared.
 //!
 //! [`Engine`]: crate::Engine
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use safex_tensor::{CrcAccumulator, DenseKernel, WeightDigest};
+use safex_tensor::{ops, CrcAccumulator, DenseKernel, DetRng, WeightDigest};
 
 use crate::ecc::{EccCode, EccConfig, RepairOutcome};
-use crate::engine::{run_layer, run_layer_digest, Classification, Engine};
+use crate::engine::{argmax, run_layer, run_layer_digest, Classification, Engine};
 use crate::error::NnError;
-use crate::fault::{apply_input_fault, FaultPlan, Injection, InjectionLog};
+use crate::fault::{apply_input_fault, ActivationFault, FaultPlan, Injection, InjectionLog};
 use crate::layer::Layer;
 use crate::model::Model;
-use crate::pool::run_partitioned;
+use crate::pool::run_partitioned_chunks;
 
 /// A detected anomaly, typed so consumers can weigh classes differently.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -503,6 +506,10 @@ pub struct HardenedEngine {
     model: Model,
     buf_a: Vec<f32>,
     buf_b: Vec<f32>,
+    /// Batch-major ping-pong arenas of [`HardenedEngine::classify_batch_indexed`]:
+    /// item slot `k` at `k * max_activation_len`, grown on first use.
+    arena_a: Vec<f32>,
+    arena_b: Vec<f32>,
     golden: Vec<(usize, u32)>,
     sidecars: Vec<EccCode>,
     config: HardenConfig,
@@ -547,6 +554,8 @@ impl HardenedEngine {
             model,
             buf_a: vec![0.0; cap],
             buf_b: vec![0.0; cap],
+            arena_a: Vec::new(),
+            arena_b: Vec::new(),
             golden,
             sidecars,
             config,
@@ -690,11 +699,25 @@ impl HardenedEngine {
     }
 
     /// Declares that every scheduled repair before `index` is already
-    /// reflected in this replica's weights (pool dispatch calls this with
-    /// the batch base: replicas are re-synchronised at batch boundaries,
-    /// which is also the only point strikes can legally land).
+    /// reflected in this replica's weights (a snapshot restore's
+    /// [`HardenedPool::resync`], and [`HardenedEngine::settle`] at the end
+    /// of every pooled batch).
     pub(crate) fn sync_to(&mut self, index: u64) {
         self.synced_to = self.synced_to.max(index);
+    }
+
+    /// Brings a pool replica's weights to where the sequential reference
+    /// stands once decisions `< end` have run: replays the silent repairs
+    /// of the scheduled checks in `[synced_to, end)`, which other
+    /// replicas ran. Pool dispatch calls it on every replica at the end
+    /// of a batch — the next strike may land right after it, and every
+    /// replica must meet it with the weights the reference has.
+    pub(crate) fn settle(&mut self, end: u64) {
+        let scheduled = self.config.crc_cadence > 0 && !self.golden.is_empty();
+        if scheduled && self.config.repair.is_some() {
+            self.catch_up(end);
+        }
+        self.sync_to(end);
     }
 
     /// Replays the silent repairs a sequential engine would have applied
@@ -735,40 +758,61 @@ impl HardenedEngine {
     /// the replica that owns the scheduled check emits the event; this is
     /// only weight-state reconciliation.
     fn silent_repair(&mut self, gi: usize) {
-        let (layer, expected) = self.golden[gi];
-        let actual = layer_checksum(&self.model.layers()[layer])
-            .expect("golden entries index parametric layers");
-        if expected != actual {
+        if self.slot_mismatch(gi).is_some() {
             self.attempt_repair(gi);
         }
     }
 
-    /// Runs one scheduled CRC check over golden slot `gi`, attempting an
-    /// in-place ECC repair before escalating when repair is enabled.
-    fn check_slot(&mut self, gi: usize, staleness: u64) {
+    /// Golden slots a scheduled check at `index` verifies before the
+    /// layer loop: all of them under [`CrcStrategy::Full`], one under
+    /// [`CrcStrategy::Rotating`] (cursor derived from the global
+    /// decision index, never from engine-local state, so pooled replicas
+    /// replaying the same decision verify the same layer), none under
+    /// [`CrcStrategy::Fused`] (verified inside the layer loop).
+    fn prepass_slots(&self, index: u64) -> Range<usize> {
+        match self.config.crc_strategy {
+            CrcStrategy::Full => 0..self.golden.len(),
+            CrcStrategy::Rotating => {
+                let tick = index / self.config.crc_cadence;
+                let slot = (tick % self.golden.len() as u64) as usize;
+                slot..slot + 1
+            }
+            CrcStrategy::Fused => 0..0,
+        }
+    }
+
+    /// One scheduled CRC computation over golden slot `gi`: the current
+    /// CRC when it disagrees with golden, `None` when it matches.
+    fn slot_mismatch(&self, gi: usize) -> Option<u32> {
         let (layer, expected) = self.golden[gi];
         let actual = layer_checksum(&self.model.layers()[layer])
             .expect("golden entries index parametric layers");
-        if expected == actual {
-            return;
-        }
+        (actual != expected).then_some(actual)
+    }
+
+    /// Judges a detected mismatch on golden slot `gi` (`actual` is the
+    /// CRC the check computed): with repair enabled, an in-place ECC
+    /// correction first ([`HealthEvent::CorrectedFault`]), otherwise —
+    /// or when the damage is uncorrectable — escalation
+    /// ([`HealthEvent::ChecksumMismatch`]).
+    fn resolve_mismatch(&mut self, gi: usize, actual: u32, staleness: u64) -> HealthEvent {
+        let (layer, expected) = self.golden[gi];
         if self.config.repair.is_some() {
             if let Some((word, bit)) = self.attempt_repair(gi) {
-                self.events.push(HealthEvent::CorrectedFault {
+                return HealthEvent::CorrectedFault {
                     layer,
                     word,
                     bit,
                     staleness,
-                });
-                return;
+                };
             }
         }
-        self.events.push(HealthEvent::ChecksumMismatch {
+        HealthEvent::ChecksumMismatch {
             layer,
             expected,
             actual,
             staleness,
-        });
+        }
     }
 
     /// Tries to ECC-correct golden slot `gi`'s parameters. Writes back
@@ -911,20 +955,7 @@ impl HardenedEngine {
         index: u64,
         input: &[f32],
     ) -> Result<Classification, NnError> {
-        let out = self.infer_indexed(index, input)?;
-        let mut best = Classification {
-            class: 0,
-            confidence: f32::NEG_INFINITY,
-        };
-        for (i, &v) in out.iter().enumerate() {
-            if v > best.confidence {
-                best = Classification {
-                    class: i,
-                    confidence: v,
-                };
-            }
-        }
-        Ok(best)
+        self.infer_indexed(index, input).map(argmax)
     }
 
     /// The core decision: inject → execute → detect.
@@ -963,31 +994,13 @@ impl HardenedEngine {
             // sequential replays of the same decision are identical — as
             // is a fused repair re-run.
             let mut fault_rng = self.plan.map(|p| p.decision_rng(index));
-            if let (Some(plan), Some(rng)) = (self.plan, fault_rng.as_mut()) {
-                if let Some(fault) = plan.input {
-                    apply_input_fault(
-                        fault,
-                        &mut self.buf_a[..input.len()],
-                        rng,
-                        &mut self.injections,
-                    );
-                }
-            }
-            // Branch-free finiteness reduction: the all-finite common
-            // case auto-vectorizes; the offending index is located only
-            // once a fault is known to exist.
-            let mut all_finite = true;
-            for &v in &self.buf_a[..input.len()] {
-                all_finite &= v.is_finite();
-            }
-            if !all_finite {
-                if let Some(i) = self.buf_a[..input.len()]
-                    .iter()
-                    .position(|v| !v.is_finite())
-                {
-                    self.events.push(HealthEvent::NonFiniteInput { index: i });
-                }
-            }
+            input_stage(
+                self.plan,
+                fault_rng.as_mut(),
+                &mut self.buf_a[..input.len()],
+                &mut self.events,
+                &mut self.injections,
+            );
 
             if crc_scheduled && first_attempt {
                 // With repair enabled, first replay the silent repairs any
@@ -1004,23 +1017,11 @@ impl HardenedEngine {
                     // The staleness bound is Some whenever we get here
                     // (cadence and golden are both non-zero).
                     let staleness = self.staleness_bound().unwrap_or(0);
-                    match self.config.crc_strategy {
-                        CrcStrategy::Full => {
-                            for gi in 0..self.golden.len() {
-                                self.check_slot(gi, staleness);
-                            }
+                    for gi in self.prepass_slots(index) {
+                        if let Some(actual) = self.slot_mismatch(gi) {
+                            let event = self.resolve_mismatch(gi, actual, staleness);
+                            self.events.push(event);
                         }
-                        CrcStrategy::Rotating => {
-                            // Cursor derived from the global decision
-                            // index, never from engine-local state: pooled
-                            // replicas replaying the same decision verify
-                            // the same layer.
-                            let tick = index / self.config.crc_cadence;
-                            let slot = (tick % self.golden.len() as u64) as usize;
-                            self.check_slot(slot, staleness);
-                        }
-                        // Verified inside the layer loop below.
-                        CrcStrategy::Fused => {}
                     }
                 }
                 self.synced_to = self.synced_to.max(index + 1);
@@ -1061,20 +1062,13 @@ impl HardenedEngine {
                 } else {
                     run_layer(layer, &src[..cur_shape.len()], dst, &cur_shape, self.kernel)?;
                 }
-                if let (Some(fault), Some(rng)) = (activation_fault, fault_rng.as_mut()) {
-                    if rng.chance(fault.p) {
-                        let element = rng.below_usize(dst.len());
-                        let mut bits = dst[element].to_bits();
-                        for b in rng.sample_indices(32, fault.bits as usize) {
-                            bits ^= 1u32 << b;
-                        }
-                        dst[element] = f32::from_bits(bits);
-                        self.injections.push(Injection::ActivationFlip {
-                            layer: i,
-                            index: element,
-                        });
-                    }
-                }
+                inject_activation(
+                    activation_fault,
+                    fault_rng.as_mut(),
+                    i,
+                    dst,
+                    &mut self.injections,
+                );
                 if let Some(guard) = &self.guard {
                     guard.check(i, dst, &mut self.events);
                 }
@@ -1086,7 +1080,6 @@ impl HardenedEngine {
                 let staleness = self.staleness_bound().unwrap_or(0);
                 let mut repaired = false;
                 for (gi, digest) in sweep.iter().enumerate() {
-                    let (layer, expected) = self.golden[gi];
                     // The parity signature rides the same sweep; it can
                     // only disagree while the CRC matches on a CRC
                     // collision, so checking both strictly tightens
@@ -1096,27 +1089,12 @@ impl HardenedEngine {
                         .sidecars
                         .get(gi)
                         .is_none_or(|s| s.parity_signature() == digest.parity);
-                    if digest.crc == expected && parity_ok {
+                    if digest.crc == self.golden[gi].1 && parity_ok {
                         continue;
                     }
-                    if self.config.repair.is_some() {
-                        if let Some((word, bit)) = self.attempt_repair(gi) {
-                            crc_events.push(HealthEvent::CorrectedFault {
-                                layer,
-                                word,
-                                bit,
-                                staleness,
-                            });
-                            repaired = true;
-                            continue;
-                        }
-                    }
-                    crc_events.push(HealthEvent::ChecksumMismatch {
-                        layer,
-                        expected,
-                        actual: digest.crc,
-                        staleness,
-                    });
+                    let event = self.resolve_mismatch(gi, digest.crc, staleness);
+                    repaired |= matches!(event, HealthEvent::CorrectedFault { .. });
+                    crc_events.push(event);
                 }
                 if repaired {
                     // The layer loop above consumed pre-repair weights;
@@ -1135,31 +1113,312 @@ impl HardenedEngine {
             // non-finite final activation.
             if self.guard.is_none() {
                 let out = if cur_in_a { &self.buf_a } else { &self.buf_b };
-                if let Some((index, _)) = out[..cur_shape.len()]
-                    .iter()
-                    .enumerate()
-                    .find(|(_, v)| !v.is_finite())
-                {
-                    self.events.push(HealthEvent::NonFiniteActivation {
-                        layer: self.model.len() - 1,
-                        index,
-                    });
-                }
+                flag_non_finite_output(self.model.len(), &out[..cur_shape.len()], &mut self.events);
             }
 
             break (cur_shape.len(), cur_in_a);
         };
 
         self.events_seen += self.events.len() as u64;
-        if let Some(sink) = &self.sink {
-            sink.extend(&self.events);
-        }
-        if let Some(log) = &self.log {
-            for &injection in &self.injections {
-                log.push(injection);
-            }
-        }
+        publish(&self.sink, &self.log, &self.events, &self.injections);
         Ok((out_len, out_in_a))
+    }
+
+    /// Classifies `inputs` as the decisions `first, first + 1, …` through
+    /// batch-major arenas. The result equals, item by item, a
+    /// [`HardenedEngine::classify_indexed`] loop over the same indices:
+    /// classification, events and injections, the weight repairs, and
+    /// what reaches an attached sink or log. Afterwards
+    /// [`HardenedEngine::last_events`] and
+    /// [`HardenedEngine::last_injections`] describe the last item.
+    ///
+    /// Per item and in index order, everything before the layer loop runs
+    /// exactly as in the per-item path: input copy, input fault and
+    /// finiteness scan, repair catch-up, and the scheduled CRC check at
+    /// the item's own index (one CRC per checked layer per on-tick
+    /// decision, as before). The items then share one layer sweep — the
+    /// batched dense kernel streams each weight row once per tile — in
+    /// which every item draws its activation faults from its own
+    /// decision stream and gets its own guard check per layer. Two cases
+    /// end the shared sweep early:
+    ///
+    /// * an ECC repair is about to rewrite a weight: the waiting items are
+    ///   swept first, so each reads exactly the weights it reads
+    ///   sequentially;
+    /// * a [`CrcStrategy::Fused`] on-tick item verifies inside its own
+    ///   pass (and re-runs after an in-pass repair), so it runs through
+    ///   the per-item path once the items before it are swept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShape`] for the first input with the wrong
+    /// element count, before any item runs.
+    pub fn classify_batch_indexed<I: AsRef<[f32]>>(
+        &mut self,
+        first: u64,
+        inputs: &[I],
+    ) -> Result<Vec<CheckedClassification>, NnError> {
+        let expected = self.model.input_shape();
+        if let Some(bad) = inputs.iter().find(|x| x.as_ref().len() != expected.len()) {
+            return Err(NnError::InputShape {
+                expected,
+                actual: bad.as_ref().len(),
+            });
+        }
+        let stride = self.model.max_activation_len();
+        let need = inputs.len() * stride;
+        if self.arena_a.len() < need {
+            self.arena_a.resize(need, 0.0);
+            self.arena_b.resize(need, 0.0);
+        }
+        let crc_scheduled = self.config.crc_cadence > 0 && !self.golden.is_empty();
+        let repair = self.config.repair.is_some();
+        let staleness = self.staleness_bound().unwrap_or(0);
+        let mut out = Vec::with_capacity(inputs.len());
+        let mut pending: Vec<Pending> = Vec::with_capacity(inputs.len());
+        for (k, input) in inputs.iter().enumerate() {
+            let index = first + k as u64;
+            let input = input.as_ref();
+            let on_tick = crc_scheduled && index.is_multiple_of(self.config.crc_cadence);
+            if on_tick && self.config.crc_strategy == CrcStrategy::Fused {
+                self.sweep(&mut pending, &mut out)?;
+                let classification = self.classify_indexed(index, input)?;
+                out.push(CheckedClassification {
+                    classification,
+                    events: self.events.clone(),
+                    injections: self.injections.clone(),
+                });
+                continue;
+            }
+            // The scheduled check runs before this item's input stage
+            // (neither reads what the other writes), so a sweep it
+            // triggers never includes this item; its events still follow
+            // the input stage's, as in `run`.
+            let mut crc_events = Vec::new();
+            if crc_scheduled {
+                if repair {
+                    // Catch-up only has work on a chunk's first item,
+                    // where nothing waits; sweep anyway if it ever does.
+                    if self.synced_to < index {
+                        self.sweep(&mut pending, &mut out)?;
+                    }
+                    self.catch_up(index);
+                }
+                if on_tick {
+                    for gi in self.prepass_slots(index) {
+                        if let Some(actual) = self.slot_mismatch(gi) {
+                            if repair {
+                                self.sweep(&mut pending, &mut out)?;
+                            }
+                            crc_events.push(self.resolve_mismatch(gi, actual, staleness));
+                        }
+                    }
+                }
+                self.synced_to = self.synced_to.max(index + 1);
+            }
+            let slot = pending.len();
+            let buf = &mut self.arena_a[slot * stride..][..input.len()];
+            buf.copy_from_slice(input);
+            let mut item = Pending {
+                rng: self.plan.map(|p| p.decision_rng(index)),
+                events: Vec::new(),
+                injections: Vec::new(),
+            };
+            input_stage(
+                self.plan,
+                item.rng.as_mut(),
+                buf,
+                &mut item.events,
+                &mut item.injections,
+            );
+            item.events.append(&mut crc_events);
+            pending.push(item);
+        }
+        self.sweep(&mut pending, &mut out)?;
+        if let Some(last) = out.last() {
+            self.events.clone_from(&last.events);
+            self.injections.clone_from(&last.injections);
+        }
+        Ok(out)
+    }
+
+    /// The shared layer sweep of [`HardenedEngine::classify_batch_indexed`]:
+    /// runs the waiting items (arena slots `0..pending.len()`, inputs in
+    /// `arena_a`) through every layer, with each item's activation faults
+    /// and guard checks per layer, then publishes and appends their
+    /// results to `out` in order.
+    fn sweep(
+        &mut self,
+        pending: &mut Vec<Pending>,
+        out: &mut Vec<CheckedClassification>,
+    ) -> Result<(), NnError> {
+        let n = pending.len();
+        if n == 0 {
+            return Ok(());
+        }
+        let stride = self.model.max_activation_len();
+        let activation_fault = self.plan.and_then(|p| p.activation);
+        let mut cur_shape = self.model.input_shape();
+        let mut cur_in_a = true;
+        for (i, layer) in self.model.layers().iter().enumerate() {
+            let out_shape = self
+                .model
+                .layer_output_shape(i)
+                .expect("layer index in range");
+            let (src, dst) = if cur_in_a {
+                (&self.arena_a, &mut self.arena_b)
+            } else {
+                (&self.arena_b, &mut self.arena_a)
+            };
+            if let Layer::Dense(d) = layer {
+                ops::dense_batch_into_with(
+                    self.kernel,
+                    &d.weights,
+                    &d.bias,
+                    src,
+                    dst,
+                    d.inputs,
+                    d.outputs,
+                    n,
+                    stride,
+                    stride,
+                )?;
+            } else {
+                for slot in 0..n {
+                    run_layer(
+                        layer,
+                        &src[slot * stride..][..cur_shape.len()],
+                        &mut dst[slot * stride..][..out_shape.len()],
+                        &cur_shape,
+                        self.kernel,
+                    )?;
+                }
+            }
+            for (slot, item) in pending.iter_mut().enumerate() {
+                let act = &mut dst[slot * stride..][..out_shape.len()];
+                inject_activation(
+                    activation_fault,
+                    item.rng.as_mut(),
+                    i,
+                    act,
+                    &mut item.injections,
+                );
+                if let Some(guard) = &self.guard {
+                    guard.check(i, act, &mut item.events);
+                }
+            }
+            cur_shape = out_shape;
+            cur_in_a = !cur_in_a;
+        }
+        let slab = if cur_in_a {
+            &self.arena_a
+        } else {
+            &self.arena_b
+        };
+        for (slot, mut item) in pending.drain(..).enumerate() {
+            let result = &slab[slot * stride..][..cur_shape.len()];
+            if self.guard.is_none() {
+                flag_non_finite_output(self.model.len(), result, &mut item.events);
+            }
+            self.events_seen += item.events.len() as u64;
+            publish(&self.sink, &self.log, &item.events, &item.injections);
+            out.push(CheckedClassification {
+                classification: argmax(result),
+                events: item.events,
+                injections: item.injections,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// A batch item waiting for the shared layer sweep: its decision fault
+/// stream (already past the input draws) and what it has raised so far.
+struct Pending {
+    rng: Option<DetRng>,
+    events: Vec<HealthEvent>,
+    injections: Vec<Injection>,
+}
+
+/// A decision's input stage: applies the plan's input fault to `input`
+/// (the decision's private copy) as the first draws of its fault stream,
+/// then flags the first non-finite element.
+fn input_stage(
+    plan: Option<FaultPlan>,
+    rng: Option<&mut DetRng>,
+    input: &mut [f32],
+    events: &mut Vec<HealthEvent>,
+    injections: &mut Vec<Injection>,
+) {
+    if let (Some(fault), Some(rng)) = (plan.and_then(|p| p.input), rng) {
+        apply_input_fault(fault, input, rng, injections);
+    }
+    // Branch-free finiteness reduction: the all-finite common case
+    // auto-vectorizes; the offending index is located only once a fault
+    // is known to exist.
+    let mut all_finite = true;
+    for &v in input.iter() {
+        all_finite &= v.is_finite();
+    }
+    if !all_finite {
+        if let Some(index) = input.iter().position(|v| !v.is_finite()) {
+            events.push(HealthEvent::NonFiniteInput { index });
+        }
+    }
+}
+
+/// Draws one layer boundary's activation fault from the decision's
+/// stream and, when it fires, flips `fault.bits` distinct bits of one
+/// element of `activation`.
+fn inject_activation(
+    fault: Option<ActivationFault>,
+    rng: Option<&mut DetRng>,
+    layer: usize,
+    activation: &mut [f32],
+    injections: &mut Vec<Injection>,
+) {
+    let (Some(fault), Some(rng)) = (fault, rng) else {
+        return;
+    };
+    if rng.chance(fault.p) {
+        let element = rng.below_usize(activation.len());
+        let mut bits = activation[element].to_bits();
+        for b in rng.sample_indices(32, fault.bits as usize) {
+            bits ^= 1u32 << b;
+        }
+        activation[element] = f32::from_bits(bits);
+        injections.push(Injection::ActivationFlip {
+            layer,
+            index: element,
+        });
+    }
+}
+
+/// Without a guard, a non-finite final activation still raises an event
+/// (against the last of `layers` layers).
+fn flag_non_finite_output(layers: usize, output: &[f32], events: &mut Vec<HealthEvent>) {
+    if let Some(index) = output.iter().position(|v| !v.is_finite()) {
+        events.push(HealthEvent::NonFiniteActivation {
+            layer: layers - 1,
+            index,
+        });
+    }
+}
+
+/// Hands one decision's events and injections to the attached observers.
+fn publish(
+    sink: &Option<HealthSink>,
+    log: &Option<InjectionLog>,
+    events: &[HealthEvent],
+    injections: &[Injection],
+) {
+    if let Some(sink) = sink {
+        sink.extend(events);
+    }
+    if let Some(log) = log {
+        for &injection in injections {
+            log.push(injection);
+        }
     }
 }
 
@@ -1283,7 +1542,8 @@ impl HardenedPool {
     }
 
     /// Classifies a batch in parallel, preserving input order; global
-    /// decision indices continue across batches.
+    /// decision indices continue across batches. Each worker runs its
+    /// contiguous chunk through [`HardenedEngine::classify_batch_indexed`].
     ///
     /// # Errors
     ///
@@ -1294,29 +1554,20 @@ impl HardenedPool {
         inputs: &[I],
     ) -> Result<Vec<CheckedClassification>, NnError> {
         let base = self.dispatched;
-        // Weight strikes (via `engines_mut`) can only land between
-        // batches, where they hit every replica identically; advancing
-        // every replica's sync point to the batch base keeps the repair
-        // catch-up from replaying pre-strike scheduled checks — which the
-        // sequential reference saw as clean — against post-strike
-        // weights.
-        for worker in &mut self.workers {
-            worker.sync_to(base);
-        }
-        let indexed: Vec<(u64, &[f32])> = inputs
-            .iter()
-            .enumerate()
-            .map(|(k, x)| (base + k as u64, x.as_ref()))
-            .collect();
-        let out = run_partitioned(&mut self.workers, &indexed, |engine, &(index, input)| {
-            let classification = engine.classify_indexed(index, input)?;
-            Ok(CheckedClassification {
-                classification,
-                events: engine.last_events().to_vec(),
-                injections: engine.last_injections().to_vec(),
-            })
+        let out = run_partitioned_chunks(&mut self.workers, inputs, |engine, offset, chunk| {
+            engine.classify_batch_indexed(base + offset as u64, chunk)
         })?;
-        self.dispatched = base + inputs.len() as u64;
+        // Weight strikes (via `engines_mut`) land only between batches,
+        // where they hit every replica identically. A replica catches up
+        // only to its own chunk's start, so settle every replica to the
+        // batch end now: each meets the next strike with the reference's
+        // weights, and its catch-up never replays pre-strike checks —
+        // which the reference saw as clean — against post-strike weights.
+        let end = base + inputs.len() as u64;
+        for worker in &mut self.workers {
+            worker.settle(end);
+        }
+        self.dispatched = end;
         Ok(out)
     }
 }
@@ -2202,6 +2453,240 @@ mod tests {
                 assert_eq!(got, reference, "{strategy:?}, {workers} workers diverged");
             }
         }
+    }
+
+    /// A model wide enough for the 16-row block and the item tiles.
+    fn wide_model(seed: u64) -> Model {
+        let mut rng = DetRng::new(seed);
+        ModelBuilder::new(Shape::vector(6))
+            .dense(20, &mut rng)
+            .unwrap()
+            .relu()
+            .dense(5, &mut rng)
+            .unwrap()
+            .softmax()
+            .build()
+            .unwrap()
+    }
+
+    fn wide_inputs(n: usize, seed: u64) -> Vec<Vec<f32>> {
+        let mut rng = DetRng::new(seed);
+        (0..n)
+            .map(|_| (0..6).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
+            .collect()
+    }
+
+    /// Flips bit 30 (the exponent's top bit) of the first dense layer's
+    /// first weight: a single-bit strike that moves every output.
+    fn strike(model: &mut Model) {
+        flip_weight_bit_at(model, 0, 30);
+    }
+
+    fn flip_weight_bit_at(model: &mut Model, word: usize, bit: u32) {
+        match &mut model.layers_mut()[0] {
+            Layer::Dense(d) => {
+                d.weights[word] = f32::from_bits(d.weights[word].to_bits() ^ (1 << bit))
+            }
+            other => panic!("layer 0 is not dense: {other:?}"),
+        }
+    }
+
+    /// Sequential reference: a `classify_indexed` loop with `strike`
+    /// applied before the decisions in `strikes`.
+    fn sequential(
+        engine: &HardenedEngine,
+        inputs: &[Vec<f32>],
+        strikes: &[usize],
+    ) -> Vec<CheckedClassification> {
+        let mut seq = engine.clone();
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| {
+                if strikes.contains(&i) {
+                    strike(seq.model_mut());
+                }
+                let classification = seq.classify_indexed(i as u64, input).unwrap();
+                CheckedClassification {
+                    classification,
+                    events: seq.last_events().to_vec(),
+                    injections: seq.last_injections().to_vec(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_path_matches_sequential_across_the_hardening_grid() {
+        let inputs = wide_inputs(40, 5);
+        let plans = [
+            None,
+            Some(FaultPlan {
+                seed: 77,
+                input: Some(InputFault::Noise { sigma: 0.5, p: 0.3 }),
+                activation: Some(ActivationFault { p: 0.3, bits: 2 }),
+            }),
+        ];
+        for strategy in [CrcStrategy::Full, CrcStrategy::Rotating, CrcStrategy::Fused] {
+            for repair in [false, true] {
+                for cadence in [1u64, 3] {
+                    for plan in plans {
+                        let config = HardenConfig {
+                            crc_cadence: cadence,
+                            crc_strategy: strategy,
+                            repair: repair.then_some(EccConfig { block_words: 8 }),
+                            ..HardenConfig::default()
+                        };
+                        let mut engine = HardenedEngine::new(wide_model(11), config).unwrap();
+                        engine.calibrate(&inputs[..16]).unwrap();
+                        if let Some(plan) = plan {
+                            engine.set_plan(plan).unwrap();
+                        }
+                        for batch in [1usize, 3, 16, 17] {
+                            // Strikes land between batches: at the first
+                            // boundary at or after decisions 5 and 20.
+                            let boundaries: Vec<usize> = (0..inputs.len()).step_by(batch).collect();
+                            let strikes: Vec<usize> = [5, 20]
+                                .iter()
+                                .filter_map(|&at| boundaries.iter().copied().find(|&b| b >= at))
+                                .collect();
+                            let reference = sequential(&engine, &inputs, &strikes);
+                            for workers in [1usize, 2] {
+                                let mut pool = HardenedPool::new(&engine, workers).unwrap();
+                                let mut got = Vec::new();
+                                for chunk in inputs.chunks(batch) {
+                                    if strikes.contains(&(pool.dispatched() as usize)) {
+                                        for replica in pool.engines_mut() {
+                                            strike(replica.model_mut());
+                                        }
+                                    }
+                                    got.extend(pool.classify_batch(chunk).unwrap());
+                                }
+                                assert_eq!(
+                                    got,
+                                    reference,
+                                    "{strategy:?} repair={repair} cadence={cadence} \
+                                     plan={} batch={batch} workers={workers}",
+                                    plan.is_some()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_sweeps_waiting_items_before_a_repair_rewrites_weights() {
+        // Cadence 3, strike before decision 16: decisions 16 and 17 are
+        // off-tick and read the struck weight; decision 18 is on-tick and
+        // repairs it. In one batch, 16 and 17 must be swept before the
+        // repair, or they would read the repaired weight.
+        for strategy in [CrcStrategy::Full, CrcStrategy::Rotating, CrcStrategy::Fused] {
+            let config = HardenConfig {
+                crc_cadence: 3,
+                crc_strategy: strategy,
+                repair: Some(EccConfig { block_words: 8 }),
+                ..HardenConfig::default()
+            };
+            let inputs = wide_inputs(32, 9);
+            let mut engine = HardenedEngine::new(wide_model(12), config).unwrap();
+            engine.calibrate(&inputs).unwrap();
+            let reference = sequential(&engine, &inputs, &[16]);
+            let pristine = sequential(&engine, &inputs, &[]);
+            let repaired_at = reference
+                .iter()
+                .position(|r| {
+                    r.events
+                        .iter()
+                        .any(|e| matches!(e, HealthEvent::CorrectedFault { .. }))
+                })
+                .expect("the strike is repaired");
+            assert!(repaired_at > 17, "{strategy:?}: repaired at {repaired_at}");
+            for i in 16..repaired_at {
+                assert_ne!(
+                    reference[i].classification, pristine[i].classification,
+                    "{strategy:?}: decision {i} must see the struck weight"
+                );
+            }
+            let mut batched = engine.clone();
+            let mut got = batched.classify_batch_indexed(0, &inputs[..16]).unwrap();
+            strike(batched.model_mut());
+            got.extend(batched.classify_batch_indexed(16, &inputs[16..]).unwrap());
+            assert_eq!(got, reference, "{strategy:?}");
+            assert_eq!(batched.last_events(), reference[31].events.as_slice());
+        }
+    }
+
+    #[test]
+    fn batch_path_reports_to_observers_like_the_per_item_path() {
+        let inputs = wide_inputs(20, 3);
+        let config = HardenConfig {
+            crc_cadence: 2,
+            ..HardenConfig::default()
+        };
+        let mut engine = HardenedEngine::new(wide_model(13), config).unwrap();
+        engine.calibrate(&inputs).unwrap();
+        engine
+            .set_plan(FaultPlan {
+                seed: 5,
+                input: Some(InputFault::Noise { sigma: 4.0, p: 0.5 }),
+                activation: Some(ActivationFault { p: 0.5, bits: 3 }),
+            })
+            .unwrap();
+        let observe = |engine: &mut HardenedEngine| {
+            let (sink, log) = (HealthSink::new(), InjectionLog::new());
+            engine.attach_sink(sink.clone());
+            engine.attach_injection_log(log.clone());
+            (sink, log)
+        };
+        let mut seq = engine.clone();
+        let (seq_sink, seq_log) = observe(&mut seq);
+        for (i, input) in inputs.iter().enumerate() {
+            seq.classify_indexed(i as u64, input).unwrap();
+        }
+        let (sink, log) = observe(&mut engine);
+        engine.classify_batch_indexed(0, &inputs).unwrap();
+        let events = seq_sink.drain();
+        assert!(!events.is_empty(), "the plan must raise something");
+        assert_eq!(sink.drain(), events);
+        assert_eq!(log.drain(), seq_log.drain());
+        assert_eq!(engine.event_count(), seq.event_count());
+        // A wrong-sized input fails the whole batch before any item runs.
+        let mut bad = inputs.clone();
+        bad[7].pop();
+        let before = engine.event_count();
+        assert!(matches!(
+            engine.classify_batch_indexed(20, &bad),
+            Err(NnError::InputShape { actual: 5, .. })
+        ));
+        assert_eq!(engine.event_count(), before);
+    }
+
+    #[test]
+    fn pool_replicas_settle_repairs_made_in_later_chunks() {
+        // Full, cadence 4, three workers, batches of 6, strike before
+        // decision 6: decision 8 (worker 1) repairs, worker 0 ran 6..8 and
+        // never saw the repair. It must still enter batch 12..18 with the
+        // repaired weights, or it reports a fault the reference never had.
+        let config = HardenConfig {
+            crc_cadence: 4,
+            repair: Some(EccConfig { block_words: 8 }),
+            ..HardenConfig::default()
+        };
+        let inputs = wide_inputs(18, 4);
+        let mut engine = HardenedEngine::new(wide_model(14), config).unwrap();
+        engine.calibrate(&inputs).unwrap();
+        let reference = sequential(&engine, &inputs, &[6]);
+        let mut pool = HardenedPool::new(&engine, 3).unwrap();
+        let mut got = pool.classify_batch(&inputs[..6]).unwrap();
+        pool.engines_mut()
+            .iter_mut()
+            .for_each(|e| strike(e.model_mut()));
+        got.extend(pool.classify_batch(&inputs[6..12]).unwrap());
+        got.extend(pool.classify_batch(&inputs[12..]).unwrap());
+        assert_eq!(got, reference);
     }
 
     #[test]

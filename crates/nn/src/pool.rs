@@ -91,9 +91,11 @@ where
 }
 
 /// [`run_partitioned`]'s chunk-granular sibling: `per_chunk` receives a
-/// worker's whole contiguous chunk at once, so engines with a batch-major
-/// arena path ([`Engine::infer_batch`], [`QEngine::infer_batch`]) can run
-/// it per chunk instead of per item. The partitioning and stitching are
+/// worker's whole contiguous chunk at once, with the chunk's offset in
+/// the batch, so engines with a batch-major arena path
+/// ([`Engine::infer_batch`], [`QEngine::infer_batch`],
+/// [`crate::HardenedEngine::classify_batch_indexed`]) can run it per
+/// chunk instead of per item. The partitioning and stitching are
 /// identical to [`run_partitioned`], so the determinism argument carries
 /// over unchanged — provided `per_chunk` itself is item-order preserving
 /// and item-independent, which the arena batch paths are (bit-identical
@@ -107,22 +109,24 @@ where
     W: Send,
     I: Sync,
     O: Send,
-    F: Fn(&mut W, &'a [I]) -> Result<Vec<O>, NnError> + Send + Sync + Copy,
+    F: Fn(&mut W, usize, &'a [I]) -> Result<Vec<O>, NnError> + Send + Sync + Copy,
 {
     let used = workers.len().min(inputs.len());
     if used <= 1 {
         // Small batches and single-worker pools run inline: same results,
         // no thread-spawn cost.
-        return per_chunk(&mut workers[0], inputs);
+        return per_chunk(&mut workers[0], 0, inputs);
     }
     let lens = chunk_lens(inputs.len(), used);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(lens.len());
         let mut rest = inputs;
+        let mut offset = 0;
         for (worker, &len) in workers.iter_mut().zip(&lens) {
             let (chunk, tail) = rest.split_at(len);
             rest = tail;
-            handles.push(scope.spawn(move || per_chunk(worker, chunk)));
+            handles.push(scope.spawn(move || per_chunk(worker, offset, chunk)));
+            offset += len;
         }
         let mut out = Vec::with_capacity(inputs.len());
         for handle in handles {
@@ -228,7 +232,7 @@ impl EnginePool {
         &mut self,
         inputs: &[I],
     ) -> Result<Vec<Vec<f32>>, NnError> {
-        run_partitioned_chunks(&mut self.workers, inputs, |engine, chunk| {
+        run_partitioned_chunks(&mut self.workers, inputs, |engine, _, chunk| {
             engine.infer_batch(chunk)
         })
     }
@@ -243,7 +247,7 @@ impl EnginePool {
         &mut self,
         inputs: &[I],
     ) -> Result<Vec<Classification>, NnError> {
-        run_partitioned_chunks(&mut self.workers, inputs, |engine, chunk| {
+        run_partitioned_chunks(&mut self.workers, inputs, |engine, _, chunk| {
             engine.classify_batch(chunk)
         })
     }
@@ -292,7 +296,7 @@ impl QEnginePool {
         &mut self,
         inputs: &[I],
     ) -> Result<Vec<Vec<Q16_16>>, NnError> {
-        run_partitioned_chunks(&mut self.workers, inputs, |engine, chunk| {
+        run_partitioned_chunks(&mut self.workers, inputs, |engine, _, chunk| {
             engine.infer_batch(chunk)
         })
     }
@@ -307,7 +311,7 @@ impl QEnginePool {
         &mut self,
         inputs: &[I],
     ) -> Result<Vec<Classification>, NnError> {
-        run_partitioned_chunks(&mut self.workers, inputs, |engine, chunk| {
+        run_partitioned_chunks(&mut self.workers, inputs, |engine, _, chunk| {
             engine.classify_batch(chunk)
         })
     }

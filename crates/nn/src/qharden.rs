@@ -423,11 +423,16 @@ impl HardenedQEngine {
         Some(sidecar as f64 / data as f64)
     }
 
-    /// Declares that every scheduled repair before `index` is already
-    /// reflected in this replica's weights (pool dispatch path; see the
-    /// float twin in `harden.rs`).
-    pub(crate) fn sync_to(&mut self, index: u64) {
-        self.synced_to = self.synced_to.max(index);
+    /// Replays the silent repairs of the scheduled checks in
+    /// `[synced_to, end)` that other replicas ran, then declares every
+    /// scheduled repair before `end` applied (pool dispatch, end of a
+    /// batch; see the float twin in `harden.rs`).
+    pub(crate) fn settle(&mut self, end: u64) {
+        let scheduled = self.config.crc_cadence > 0 && !self.golden.is_empty();
+        if scheduled && self.config.repair.is_some() {
+            self.catch_up(end);
+        }
+        self.synced_to = self.synced_to.max(end);
     }
 
     /// Replays the silent repairs a sequential engine would have applied
@@ -838,12 +843,6 @@ impl HardenedQPool {
         inputs: &[I],
     ) -> Result<Vec<CheckedClassification>, NnError> {
         let base = self.dispatched;
-        // Strikes land between batches and hit every replica identically;
-        // re-sync so repair catch-up never replays pre-strike checks (see
-        // `HardenedPool::classify_batch`).
-        for worker in &mut self.workers {
-            worker.sync_to(base);
-        }
         let indexed: Vec<(u64, &[Q16_16])> = inputs
             .iter()
             .enumerate()
@@ -857,7 +856,13 @@ impl HardenedQPool {
                 injections: Vec::new(),
             })
         })?;
-        self.dispatched = base + inputs.len() as u64;
+        // Strikes land between batches: settle every replica to the batch
+        // end (see `HardenedPool::classify_batch`).
+        let end = base + inputs.len() as u64;
+        for worker in &mut self.workers {
+            worker.settle(end);
+        }
+        self.dispatched = end;
         Ok(out)
     }
 }
@@ -1277,6 +1282,46 @@ mod tests {
                 assert_eq!(batched, sequential, "{strategy:?}, {workers} workers");
             }
         }
+    }
+
+    #[test]
+    fn pool_replicas_settle_repairs_made_in_later_chunks() {
+        // Full, cadence 4, three workers, batches of 6, strike before
+        // decision 6: decision 8 (worker 1) repairs, worker 0 ran 6..8 and
+        // never saw the repair. It must still enter batch 12..18 with the
+        // repaired weights, or it reports a fault the reference never had.
+        let config = HardenConfig {
+            crc_cadence: 4,
+            repair: Some(EccConfig { block_words: 8 }),
+            ..HardenConfig::default()
+        };
+        let inputs = qinputs(18);
+        let mut engine = HardenedQEngine::new(qmodel(12), config).unwrap();
+        engine.calibrate(&inputs).unwrap();
+        let strike = |engine: &mut HardenedQEngine| {
+            if let QLayer::Dense { weights, .. } = &mut engine.model_mut().layers_mut()[0] {
+                weights[1] = Q16_16::from_bits(weights[1].to_bits() ^ (1 << 9));
+            }
+        };
+        let mut seq = engine.clone();
+        let mut sequential = Vec::new();
+        for (k, input) in inputs.iter().enumerate() {
+            if k == 6 {
+                strike(&mut seq);
+            }
+            let classification = seq.classify_indexed(k as u64, input).unwrap();
+            sequential.push(CheckedClassification {
+                classification,
+                events: seq.last_events().to_vec(),
+                injections: Vec::new(),
+            });
+        }
+        let mut pool = HardenedQPool::new(&engine, 3).unwrap();
+        let mut batched = pool.classify_batch(&inputs[..6]).unwrap();
+        pool.workers.iter_mut().for_each(strike);
+        batched.extend(pool.classify_batch(&inputs[6..12]).unwrap());
+        batched.extend(pool.classify_batch(&inputs[12..]).unwrap());
+        assert_eq!(batched, sequential);
     }
 
     #[test]

@@ -116,10 +116,13 @@ impl BatchPolicy {
 /// A deterministic cost model for batch execution, in ticks.
 ///
 /// The simulated clock needs a duration for each dispatch; modelling it
-/// as `overhead + n * per_item` captures the amortisation batching buys
-/// (checksum sweeps and dispatch setup are per-batch, kernel work is
-/// per-item). The bench calibrates these constants from measured
-/// wall-clock costs; the server only ever sees ticks.
+/// as `overhead + n * per_item` gives the tick axis a batch cost shape.
+/// The constants are **synthetic**: the defaults (8 + 4 per item) and the
+/// values the E12/E14 benches pass are chosen by hand, not fitted to
+/// measured wall-clock costs, so tick-model throughput says nothing about
+/// real throughput. Measured per-item and per-batch costs come from the
+/// open-loop `perfbench` harness (`backend.ns_per_item`). The server only
+/// ever sees ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceModel {
     /// Fixed per-dispatch cost in ticks.

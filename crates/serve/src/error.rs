@@ -25,6 +25,18 @@ pub enum ServeError {
     DuplicateMember(String),
     /// A hot model swap could not be prepared or verified.
     SwapFailed(String),
+    /// A member's backend returned a different number of verdicts than
+    /// the batch it was handed had items. The run fails closed instead of
+    /// pairing verdicts with the wrong requests or dropping the unpaired
+    /// ones.
+    VerdictCount {
+        /// Name of the fleet member whose backend miscounted.
+        member: String,
+        /// Items in the batch (one verdict each was owed).
+        expected: usize,
+        /// Verdicts the backend returned.
+        actual: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -39,6 +51,14 @@ impl fmt::Display for ServeError {
                 write!(f, "duplicate fleet member: {name}")
             }
             ServeError::SwapFailed(msg) => write!(f, "hot swap failed: {msg}"),
+            ServeError::VerdictCount {
+                member,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "member {member} returned {actual} verdicts for a batch of {expected}"
+            ),
         }
     }
 }

@@ -1557,7 +1557,16 @@ impl<B: Backend> Server<B> {
                 .backend_mut(model)
                 .expect("assigned member exists");
             let verdicts = backend.serve(&inputs)?;
-            debug_assert_eq!(verdicts.len(), batch.len(), "backend verdict count");
+            // Checked in every build: a short verdict vector would make
+            // the zip below drop requests without an outcome.
+            if verdicts.len() != batch.len() {
+                let member = self.fleet.member(model).expect("assigned member exists");
+                return Err(ServeError::VerdictCount {
+                    member: member.name().to_owned(),
+                    expected: batch.len(),
+                    actual: verdicts.len(),
+                });
+            }
             inflight.push(InFlightBatch {
                 model,
                 done_at,

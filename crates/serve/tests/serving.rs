@@ -11,8 +11,8 @@ use safex_core::health::{HealthConfig, HealthState};
 use safex_nn::model::ModelBuilder;
 use safex_nn::{CrcStrategy, EccConfig, Engine, HardenConfig, HardenedEngine, Model};
 use safex_serve::{
-    Arrival, ArrivalTrace, BatchPolicy, ModelId, Outcome, PoolBackend, Request, Server,
-    ServerConfig, ShedReason, Tier, TrafficConfig,
+    Arrival, ArrivalTrace, Backend, BatchPolicy, BatchVerdict, Fleet, ModelId, Outcome,
+    PoolBackend, Request, ServeError, Server, ServerConfig, ShedReason, Tier, TrafficConfig,
 };
 use safex_tensor::{DetRng, Shape};
 
@@ -403,5 +403,55 @@ fn safe_stop_fails_all_requests_without_execution() {
                 r.id
             );
         }
+    }
+}
+
+/// A backend that answers every batch with one verdict too few.
+struct ShortVerdicts(PoolBackend);
+
+impl Backend for ShortVerdicts {
+    fn name(&self) -> &'static str {
+        "short_verdicts"
+    }
+
+    fn serve(&mut self, inputs: &[&[f32]]) -> Result<Vec<BatchVerdict>, ServeError> {
+        let mut verdicts = self.0.serve(inputs)?;
+        verdicts.pop();
+        Ok(verdicts)
+    }
+}
+
+#[test]
+fn short_verdict_vector_fails_the_run_with_a_typed_error() {
+    let (model, inputs) = fixture();
+    let engine = hardened(&model, &inputs);
+    let trace = TrafficConfig {
+        seed: 0x5407,
+        requests: 50,
+        mean_interarrival: 1.0,
+        deadline: 400,
+        ..TrafficConfig::default()
+    }
+    .synthesize(&inputs)
+    .unwrap();
+    let fleet = Fleet::builder()
+        .register(
+            "alpha",
+            ShortVerdicts(PoolBackend::new(&engine, 1).unwrap()),
+        )
+        .build()
+        .unwrap();
+    let mut server = Server::new(ServerConfig::default(), fleet).unwrap();
+    // Checked in release builds too: no request may go without an outcome.
+    match server.run_trace(&trace) {
+        Err(ServeError::VerdictCount {
+            member,
+            expected,
+            actual,
+        }) => {
+            assert_eq!(member, "alpha");
+            assert_eq!(actual + 1, expected);
+        }
+        other => panic!("expected a verdict-count error, got {other:?}"),
     }
 }

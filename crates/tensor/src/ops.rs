@@ -14,6 +14,33 @@
 //! * use a fixed left-to-right accumulation order with `f64` (or `i64` for
 //!   the fixed-point variants) accumulators, so results are bit-for-bit
 //!   reproducible.
+//!
+//! # Why the blocked dense kernels are still `Exact`
+//!
+//! [`DenseKernel::Exact`] fixes one thing per output: the *chain* for
+//! `(row, item)` is seeded with the bias and then adds `w[i] * x[i]` for
+//! `i = 0, 1, …` in order, in `f64`, and is cast to `f32` once at the
+//! end. Two facts let the kernels go fast without touching that chain:
+//!
+//! * **The products are exact.** An `f32` has a 24-bit significand, so
+//!   the product of two `f32` values needs at most 48 bits and always
+//!   fits the 53-bit `f64` significand (exponents fit too). Widening and
+//!   multiplying in `f64` therefore rounds nothing, whether it is done
+//!   one element at a time, ahead of the adds, or in vector lanes.
+//! * **Chains are independent.** Outputs of different rows, or of
+//!   different batch items, share no accumulator. Running several chains
+//!   side by side (interleaving their adds) changes which add the CPU
+//!   issues next, never the operand sequence of any one chain.
+//!
+//! So the batched kernel transposes a block of items into an item-minor
+//! `f64` tile and advances one chain per item in lockstep (the compiler
+//! vectorizes across the items), and the single-item kernel advances a
+//! block of output rows in lockstep. Only the order of the adds *within*
+//! a chain could change a rounding, and that order is the one
+//! `dense_row_exact` uses. Both are safe code that the baseline x86-64
+//! target auto-vectorizes; no `unsafe`, no target features.
+
+use std::cell::RefCell;
 
 use crate::crc::{CrcAccumulator, WeightDigest};
 use crate::error::TensorError;
@@ -59,11 +86,18 @@ pub fn matmul_into(
 /// `Exact` therefore stays the default — it preserves the experiment E5
 /// baseline bit for bit — and `Chunked` is the opt-in fast path with its
 /// own determinism matrix (`tests/determinism.rs`).
+///
+/// `Exact` is *executed* register-blocked: several independent
+/// `(row, item)` chains advance together, each with exactly the operation
+/// sequence of the one-chain loop. `f32 × f32` products are exact in
+/// `f64` and chains share no accumulator, so the blocking cannot change
+/// a bit (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DenseKernel {
-    /// Strict left-to-right f64 accumulation (one dependent chain).
-    /// Bit-compatible with every result recorded before the kernel knob
-    /// existed.
+    /// Per output, strict left-to-right f64 accumulation seeded with the
+    /// bias (one dependent chain per `(row, item)`; independent chains
+    /// run interleaved). Bit-compatible with every result recorded before
+    /// the kernel knob existed.
     #[default]
     Exact,
     /// Four independent f64 accumulators over 4-element chunks, combined
@@ -93,15 +127,13 @@ pub fn dense_into(
     check_len(bias, outputs)?;
     check_len(x, inputs)?;
     check_len(out, outputs)?;
-    for o in 0..outputs {
-        let row = &weights[o * inputs..(o + 1) * inputs];
-        out[o] = dense_row_exact(row, x, bias[o]);
-    }
+    dense_rows_exact(weights, bias, x, out, None);
     Ok(())
 }
 
 /// One [`DenseKernel::Exact`] inner product: strict left-to-right f64
-/// accumulation seeded with the bias.
+/// accumulation seeded with the bias. The blocked kernels below run
+/// several of these chains at once, each with this exact sequence.
 #[inline]
 fn dense_row_exact(row: &[f32], x: &[f32], bias: f32) -> f32 {
     let mut acc = bias as f64;
@@ -109,6 +141,146 @@ fn dense_row_exact(row: &[f32], x: &[f32], bias: f32) -> f32 {
         acc += *w as f64 * *xi as f64;
     }
     acc as f32
+}
+
+/// Output rows the single-item `Exact` kernel advances together.
+const ROW_BLOCK: usize = 16;
+/// Inputs per step of a row block: the step's products are formed
+/// together, then added to each row's chain in input order.
+const ROW_STEP: usize = 4;
+
+thread_local! {
+    /// Item-minor f64 activation tile of the batched `Exact` kernel,
+    /// reused across calls on a thread (grows to `16 × inputs` once).
+    static TILE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Single-item `Exact` dense layer, row-interleaved: [`ROW_BLOCK`] output
+/// rows advance together, each its own `dense_row_exact` chain; leftover
+/// rows run one chain each. With a digest, every weight row is digested
+/// in row order right after its block is computed (the bias is left to
+/// the caller, which keeps the golden weights-then-bias stream order).
+fn dense_rows_exact(
+    weights: &[f32],
+    bias: &[f32],
+    x: &[f32],
+    out: &mut [f32],
+    mut digest: Option<&mut CrcAccumulator>,
+) {
+    let inputs = x.len();
+    let outputs = out.len();
+    let mut o = 0;
+    while o + ROW_BLOCK <= outputs {
+        let rows: [&[f32]; ROW_BLOCK] =
+            std::array::from_fn(|r| &weights[(o + r) * inputs..][..inputs]);
+        let mut acc: [f64; ROW_BLOCK] = std::array::from_fn(|r| bias[o + r] as f64);
+        let mut at = 0;
+        for xs in x.chunks_exact(ROW_STEP) {
+            let xs: [f64; ROW_STEP] = std::array::from_fn(|k| xs[k] as f64);
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                let ws = &row[at..at + ROW_STEP];
+                for k in 0..ROW_STEP {
+                    *a += ws[k] as f64 * xs[k];
+                }
+            }
+            at += ROW_STEP;
+        }
+        for (i, &xi) in x.iter().enumerate().skip(at) {
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                *a += row[i] as f64 * xi as f64;
+            }
+        }
+        for (dst, a) in out[o..o + ROW_BLOCK].iter_mut().zip(acc) {
+            *dst = a as f32;
+        }
+        if let Some(d) = digest.as_deref_mut() {
+            d.update_f32(&weights[o * inputs..(o + ROW_BLOCK) * inputs]);
+        }
+        o += ROW_BLOCK;
+    }
+    for (o, dst) in out.iter_mut().enumerate().skip(o) {
+        let row = &weights[o * inputs..(o + 1) * inputs];
+        *dst = dense_row_exact(row, x, bias[o]);
+        if let Some(d) = digest.as_deref_mut() {
+            d.update_f32(row);
+        }
+    }
+}
+
+/// One tile of the batched `Exact` kernel: `L` items starting at `item`
+/// are transposed into the item-minor f64 `tile` (`tile[i * L + j]` is
+/// input `i` of item `j`), then every output row runs `L` chains in
+/// lockstep — one lane per item, each chain `dense_row_exact`'s sequence.
+/// Returns `L`, the items done.
+#[allow(clippy::too_many_arguments)]
+fn dense_tile_exact<const L: usize>(
+    weights: &[f32],
+    bias: &[f32],
+    src: &[f32],
+    dst: &mut [f32],
+    item: usize,
+    inputs: usize,
+    src_stride: usize,
+    dst_stride: usize,
+    tile: &mut Vec<f64>,
+) -> usize {
+    tile.resize(inputs * L, 0.0);
+    let tile = &mut tile[..inputs * L];
+    for j in 0..L {
+        let x = &src[(item + j) * src_stride..][..inputs];
+        for (t, &v) in tile.chunks_exact_mut(L).zip(x) {
+            t[j] = v as f64;
+        }
+    }
+    for (o, &b) in bias.iter().enumerate() {
+        let row = &weights[o * inputs..(o + 1) * inputs];
+        let mut acc = [b as f64; L];
+        for (&w, t) in row.iter().zip(tile.chunks_exact(L)) {
+            let w = w as f64;
+            for (a, &x) in acc.iter_mut().zip(t) {
+                *a += w * x;
+            }
+        }
+        for (j, a) in acc.into_iter().enumerate() {
+            dst[(item + j) * dst_stride + o] = a as f32;
+        }
+    }
+    L
+}
+
+/// Batched `Exact` dense layer over an arena whose bounds the caller has
+/// checked: items go through the widest tile (16, 8 or 4 items) that
+/// still fits, and the last few (fewer than 4) through the
+/// row-interleaved single-item kernel.
+#[allow(clippy::too_many_arguments)]
+fn dense_batch_exact(
+    weights: &[f32],
+    bias: &[f32],
+    src: &[f32],
+    dst: &mut [f32],
+    inputs: usize,
+    outputs: usize,
+    batch: usize,
+    src_stride: usize,
+    dst_stride: usize,
+) {
+    let (w, b, s, d) = (weights, bias, src_stride, dst_stride);
+    TILE.with(|tile| {
+        let tile = &mut tile.borrow_mut();
+        let mut item = 0;
+        while item < batch {
+            item += match batch - item {
+                16.. => dense_tile_exact::<16>(w, b, src, dst, item, inputs, s, d, tile),
+                8.. => dense_tile_exact::<8>(w, b, src, dst, item, inputs, s, d, tile),
+                4.. => dense_tile_exact::<4>(w, b, src, dst, item, inputs, s, d, tile),
+                _ => {
+                    let x = &src[item * s..item * s + inputs];
+                    dense_rows_exact(w, b, x, &mut dst[item * d..item * d + outputs], None);
+                    1
+                }
+            };
+        }
+    });
 }
 
 /// One [`DenseKernel::Chunked`] inner product: four independent f64
@@ -130,15 +302,6 @@ fn dense_row_chunked(row: &[f32], x: &[f32], bias: f32) -> f32 {
         tail += *w as f64 * *xi as f64;
     }
     ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail) as f32
-}
-
-/// One inner product dispatching on the kernel strategy.
-#[inline]
-fn dense_row(kernel: DenseKernel, row: &[f32], x: &[f32], bias: f32) -> f32 {
-    match kernel {
-        DenseKernel::Exact => dense_row_exact(row, x, bias),
-        DenseKernel::Chunked => dense_row_chunked(row, x, bias),
-    }
 }
 
 /// Dense layer with the [`DenseKernel::Chunked`] inner product: four
@@ -217,10 +380,15 @@ pub fn dense_into_digest(
     check_len(x, inputs)?;
     check_len(out, outputs)?;
     let mut digest = CrcAccumulator::new();
-    for o in 0..outputs {
-        let row = &weights[o * inputs..(o + 1) * inputs];
-        out[o] = dense_row(kernel, row, x, bias[o]);
-        digest.update_f32(row);
+    match kernel {
+        DenseKernel::Exact => dense_rows_exact(weights, bias, x, out, Some(&mut digest)),
+        DenseKernel::Chunked => {
+            for o in 0..outputs {
+                let row = &weights[o * inputs..(o + 1) * inputs];
+                out[o] = dense_row_chunked(row, x, bias[o]);
+                digest.update_f32(row);
+            }
+        }
     }
     digest.update_f32(bias);
     Ok(digest.finish())
@@ -230,9 +398,12 @@ pub fn dense_into_digest(
 /// spaced `src_stride` apart in `src`, output rows written `dst_stride`
 /// apart in `dst`.
 ///
-/// The loop order is output-row outer, batch-item inner, so each weight
-/// row is streamed from memory once per *batch* instead of once per
-/// item. Every per-item inner product uses exactly the arithmetic of
+/// Under [`DenseKernel::Exact`] items are transposed, a tile at a time,
+/// into an item-minor f64 tile and every weight row is streamed once per
+/// tile, advancing one accumulator chain per item in lockstep (see the
+/// [module docs](self) for why this stays bit-identical); under
+/// [`DenseKernel::Chunked`] each weight row is streamed once per batch.
+/// Either way every per-item inner product uses exactly the arithmetic of
 /// [`dense_into_with`], so results are bit-identical to running the
 /// per-item kernel on each row separately.
 ///
@@ -279,47 +450,9 @@ pub fn dense_batch_into_with(
         });
     }
     match kernel {
-        DenseKernel::Exact => {
-            for o in 0..outputs {
-                let row = &weights[o * inputs..(o + 1) * inputs];
-                let b = bias[o];
-                // Four items per step: each keeps its own accumulator
-                // chain, so the serial f64-add latency that bounds the
-                // one-item kernel overlaps across items. Per (o, item)
-                // the operation sequence is exactly `dense_row_exact`,
-                // so outputs stay bit-identical to the per-item path —
-                // this reordering across independent chains is where the
-                // batch arena beats batch=1.
-                let mut item = 0usize;
-                while item + 4 <= batch {
-                    let x0 = &src[item * src_stride..item * src_stride + inputs];
-                    let x1 = &src[(item + 1) * src_stride..(item + 1) * src_stride + inputs];
-                    let x2 = &src[(item + 2) * src_stride..(item + 2) * src_stride + inputs];
-                    let x3 = &src[(item + 3) * src_stride..(item + 3) * src_stride + inputs];
-                    let mut a0 = b as f64;
-                    let mut a1 = b as f64;
-                    let mut a2 = b as f64;
-                    let mut a3 = b as f64;
-                    for i in 0..inputs {
-                        let w = row[i] as f64;
-                        a0 += w * x0[i] as f64;
-                        a1 += w * x1[i] as f64;
-                        a2 += w * x2[i] as f64;
-                        a3 += w * x3[i] as f64;
-                    }
-                    dst[item * dst_stride + o] = a0 as f32;
-                    dst[(item + 1) * dst_stride + o] = a1 as f32;
-                    dst[(item + 2) * dst_stride + o] = a2 as f32;
-                    dst[(item + 3) * dst_stride + o] = a3 as f32;
-                    item += 4;
-                }
-                while item < batch {
-                    let x = &src[item * src_stride..item * src_stride + inputs];
-                    dst[item * dst_stride + o] = dense_row_exact(row, x, b);
-                    item += 1;
-                }
-            }
-        }
+        DenseKernel::Exact => dense_batch_exact(
+            weights, bias, src, dst, inputs, outputs, batch, src_stride, dst_stride,
+        ),
         DenseKernel::Chunked => {
             // The chunked kernel already runs four lanes per item; keep
             // the straightforward item loop.
@@ -762,7 +895,7 @@ pub fn dense_q16_batch_into(
     for o in 0..outputs {
         let row = &weights[o * inputs..(o + 1) * inputs];
         let b = bias[o];
-        // Same four-chain unroll as the float batch kernel: the i64
+        // Four items per step, each its own chain: the i64
         // saturating-add chain per item is reproduced operation for
         // operation, so each lane is bit-identical to `dense_q16_row`.
         let mut item = 0usize;

@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
 use proptest::prelude::*;
-use safex_tensor::crc::crc32_words;
+use safex_tensor::crc::{crc32_words, digest_f32};
 use safex_tensor::fixed::Q16_16;
 use safex_tensor::ops;
 use safex_tensor::stats::Histogram;
@@ -285,5 +285,161 @@ proptest! {
         let mut plain = vec![Q16_16::ZERO; outputs];
         ops::dense_q16_into(&w, &b, &x, &mut plain, inputs, outputs).expect("dense");
         prop_assert_eq!(fused, plain);
+    }
+}
+
+// ----- blocked Exact dense kernels against the one-chain reference -----
+
+/// The `DenseKernel::Exact` contract, one chain: seed with the bias, add
+/// each f64 product left to right, cast once.
+fn reference_row(row: &[f32], x: &[f32], bias: f32) -> f32 {
+    let mut acc = bias as f64;
+    for (w, xi) in row.iter().zip(x) {
+        acc += *w as f64 * *xi as f64;
+    }
+    acc as f32
+}
+
+/// Output bits for comparison. Every finite and infinite result must
+/// match bit for bit; a NaN compares as one canonical NaN, because Rust
+/// leaves the sign and payload of a NaN produced by arithmetic
+/// unspecified — `dense_row_exact` compiled in two places already
+/// disagrees on the sign of `inf + -inf`. No caller observes NaN bits:
+/// argmax skips NaN and the guards report non-finite values by index.
+fn bits(v: f32) -> u32 {
+    if v.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+/// A value that is, one time in `1 / special_rate`, NaN, ±inf, a
+/// subnormal or −0.0, and otherwise a finite value in [-2, 2).
+fn value(rng: &mut DetRng, special_rate: usize) -> f32 {
+    if special_rate == 0 || rng.below_usize(special_rate) != 0 {
+        return rng.next_f32() * 4.0 - 2.0;
+    }
+    match rng.below_usize(5) {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        3 => f32::from_bits(1 + rng.below_usize(0x7F_FFFE) as u32),
+        _ => -0.0,
+    }
+}
+
+/// Checks `dense_into`, `dense_into_digest` and `dense_batch_into_with`
+/// (Exact) bit for bit against `reference_row`, item by item, for one
+/// shape; the arena rows are `pad` words wider than the data they hold.
+fn check_exact_kernels(
+    seed: u64,
+    inputs: usize,
+    outputs: usize,
+    batch: usize,
+    pad: usize,
+    special_rate: usize,
+) -> Result<(), String> {
+    let mut rng = DetRng::new(seed);
+    let w: Vec<f32> = (0..inputs * outputs)
+        .map(|_| value(&mut rng, special_rate))
+        .collect();
+    let b: Vec<f32> = (0..outputs)
+        .map(|_| value(&mut rng, special_rate))
+        .collect();
+    let (src_stride, dst_stride) = (inputs + pad, outputs + pad);
+    let src: Vec<f32> = (0..batch * src_stride)
+        .map(|_| value(&mut rng, special_rate))
+        .collect();
+    let mut dst = vec![7.0f32; batch * dst_stride];
+    ops::dense_batch_into_with(
+        DenseKernel::Exact,
+        &w,
+        &b,
+        &src,
+        &mut dst,
+        inputs,
+        outputs,
+        batch,
+        src_stride,
+        dst_stride,
+    )
+    .map_err(|e| e.to_string())?;
+    let golden = digest_f32(&w, &b);
+    for item in 0..batch {
+        let x = &src[item * src_stride..item * src_stride + inputs];
+        let mut single = vec![0.0f32; outputs];
+        ops::dense_into(&w, &b, x, &mut single, inputs, outputs).map_err(|e| e.to_string())?;
+        let mut fused = vec![0.0f32; outputs];
+        let digest =
+            ops::dense_into_digest(DenseKernel::Exact, &w, &b, x, &mut fused, inputs, outputs)
+                .map_err(|e| e.to_string())?;
+        if digest != golden {
+            return Err(format!(
+                "item {item}: fused digest {digest:?} != {golden:?}"
+            ));
+        }
+        for o in 0..outputs {
+            let want = bits(reference_row(&w[o * inputs..(o + 1) * inputs], x, b[o]));
+            let got = [
+                ("dense_batch_into_with", dst[item * dst_stride + o]),
+                ("dense_into", single[o]),
+                ("dense_into_digest", fused[o]),
+            ];
+            for (kernel, v) in got {
+                if bits(v) != want {
+                    return Err(format!(
+                        "{kernel} item {item} row {o}: {:#010x} != reference {want:#010x}",
+                        v.to_bits()
+                    ));
+                }
+            }
+        }
+        // The padding between arena rows is never written.
+        let gap = &dst[item * dst_stride + outputs..(item + 1) * dst_stride];
+        if gap.iter().any(|&v| v != 7.0) {
+            return Err(format!("item {item}: padding overwritten"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn blocked_exact_kernels_bit_identical_on_every_batch_size() {
+    // Shapes that are and are not multiples of the 4-input step, the
+    // 16-row block and the 4/8/16-item tiles; batch sizes on both sides
+    // of each tile width; clean, sparse-special and dense-special data.
+    for (inputs, outputs) in [
+        (1, 1),
+        (3, 5),
+        (4, 16),
+        (7, 17),
+        (16, 33),
+        (37, 48),
+        (256, 20),
+    ] {
+        for batch in [0usize, 1, 3, 4, 5, 16, 17, 33] {
+            for (pad, special_rate) in [(0, 0), (3, 16), (1, 3)] {
+                let seed = (inputs * 1_000 + outputs * 100 + batch) as u64 ^ special_rate as u64;
+                check_exact_kernels(seed, inputs, outputs, batch, pad, special_rate)
+                    .unwrap_or_else(|e| panic!("{inputs}x{outputs} batch {batch}: {e}"));
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn blocked_exact_kernels_match_reference(
+        seed in any::<u64>(),
+        inputs in 1usize..70,
+        outputs in 1usize..40,
+        batch in 0usize..40,
+        pad in 0usize..4,
+        special_pick in 0usize..4,
+    ) {
+        let special_rate = [0usize, 2, 8, 64][special_pick];
+        let checked = check_exact_kernels(seed, inputs, outputs, batch, pad, special_rate);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 }

@@ -6,7 +6,8 @@
 #   scripts/check.sh              # full gate: fmt, clippy, benches, tests,
 #                                 # quick bench + fused-overhead perf smoke
 #   scripts/check.sh --tests-only # fast tier: just the workspace test suite
-#                                 # (plus the test-count floor below)
+#                                 # (plus the test-count floor below) and the
+#                                 # kernel/hardening suites in release
 #   scripts/check.sh --soak-smoke # bounded wall-clock soak tier: ~6 s of
 #                                 # real-time pacing with seeded SEU faults,
 #                                 # one atomic hot swap, the watchdog armed,
@@ -82,6 +83,12 @@ if [[ "$TOTAL" -lt "$BASELINE" ]]; then
     echo "       If tests were intentionally consolidated, update scripts/test_baseline." >&2
     exit 1
 fi
+
+# The test profile builds at opt-level 1, which does not vectorize the
+# blocked dense kernels the way a release build does; run the kernel and
+# hardened-engine suites again on the code the server actually executes.
+echo "==> cargo test --release -q -p safex-tensor -p safex-nn"
+cargo test --release -q -p safex-tensor -p safex-nn
 
 if [[ "$TESTS_ONLY" == 0 ]]; then
     echo "==> scripts/bench.sh --quick"

@@ -384,6 +384,80 @@ fn fused_pool_matrix_bit_identical_for_float_and_quant() {
     }
 }
 
+/// The batch-major hardened decision path behind `HardenedPool` must equal
+/// a sequential `classify_indexed` loop item by item — classification,
+/// events and injections — for both dense kernels, every CRC strategy,
+/// any worker count and any batch split, under an input + activation
+/// fault plan and a weight strike landing between batches.
+#[test]
+fn hardened_batch_path_matches_sequential_for_kernels_strategies_and_workers() {
+    use safexplain::nn::layer::Layer;
+    use safexplain::nn::{
+        ActivationFault, CheckedClassification, CrcStrategy, DenseKernel, EccConfig, FaultPlan,
+        HardenConfig, HardenedEngine, HardenedPool, InputFault,
+    };
+
+    let data = dataset(10, 23);
+    let model = demo::train_mlp(&data, 5, 3).expect("train");
+    let inputs: Vec<Vec<f32>> = data.samples().iter().map(|s| s.input.clone()).collect();
+    let plan = FaultPlan {
+        seed: 41,
+        input: Some(InputFault::Dropout { drop: 0.1, p: 0.3 }),
+        activation: Some(ActivationFault { p: 0.2, bits: 1 }),
+    };
+    let strike = |engine: &mut HardenedEngine| {
+        let Layer::Dense(d) = &mut engine.model_mut().layers_mut()[1] else {
+            panic!("the demo MLP's layer 1 is dense");
+        };
+        let w = &mut d.weights_mut()[3];
+        *w = f32::from_bits(w.to_bits() ^ (1 << 29));
+    };
+    for kernel in [DenseKernel::Exact, DenseKernel::Chunked] {
+        for strategy in [CrcStrategy::Full, CrcStrategy::Rotating, CrcStrategy::Fused] {
+            let config = HardenConfig {
+                crc_cadence: 3,
+                crc_strategy: strategy,
+                repair: Some(EccConfig::default()),
+                ..HardenConfig::default()
+            };
+            let mut engine = HardenedEngine::new(model.clone(), config).expect("harden");
+            engine.set_kernel(kernel);
+            engine.calibrate(&inputs).expect("calibrate");
+            engine.set_plan(plan).expect("plan");
+            for batch in [1usize, 3, 16, 17] {
+                let struck_at = batch * (inputs.len() / batch / 2);
+                let mut seq = engine.clone();
+                let mut expected = Vec::new();
+                for (i, x) in inputs.iter().enumerate() {
+                    if i == struck_at {
+                        strike(&mut seq);
+                    }
+                    let classification = seq.classify_indexed(i as u64, x).expect("classify");
+                    expected.push(CheckedClassification {
+                        classification,
+                        events: seq.last_events().to_vec(),
+                        injections: seq.last_injections().to_vec(),
+                    });
+                }
+                for workers in [1usize, 2, 4, 8] {
+                    let mut pool = HardenedPool::new(&engine, workers).expect("pool");
+                    let mut got = Vec::new();
+                    for chunk in inputs.chunks(batch) {
+                        if pool.dispatched() as usize == struck_at {
+                            pool.engines_mut().iter_mut().for_each(&strike);
+                        }
+                        got.extend(pool.classify_batch(chunk).expect("batch"));
+                    }
+                    assert_eq!(
+                        got, expected,
+                        "{kernel:?} {strategy:?} batch {batch} workers {workers}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// `SafePipeline::decide_batch` must append evidence records in input
 /// order, and its decisions must match one-at-a-time `decide` calls.
 #[test]

@@ -28,7 +28,7 @@
 //! [`Engine`]: crate::Engine
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use safex_tensor::{ops, CrcAccumulator, DenseKernel, DetRng, WeightDigest};
 
@@ -199,27 +199,31 @@ impl HealthSink {
         Self::default()
     }
 
+    /// The event buffer, recovered if a holder panicked: every operation
+    /// is a single append or take, so the `Vec` is valid even then, and
+    /// one panicking pusher must not turn every later push into a panic.
+    fn events(&self) -> MutexGuard<'_, Vec<HealthEvent>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Appends one event.
     pub fn push(&self, event: HealthEvent) {
-        self.0.lock().expect("health sink poisoned").push(event);
+        self.events().push(event);
     }
 
     /// Appends a batch of events.
     pub fn extend(&self, events: &[HealthEvent]) {
-        self.0
-            .lock()
-            .expect("health sink poisoned")
-            .extend_from_slice(events);
+        self.events().extend_from_slice(events);
     }
 
     /// Removes and returns everything currently queued.
     pub fn drain(&self) -> Vec<HealthEvent> {
-        std::mem::take(&mut *self.0.lock().expect("health sink poisoned"))
+        std::mem::take(&mut *self.events())
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.0.lock().expect("health sink poisoned").len()
+        self.events().len()
     }
 
     /// Whether the sink is empty.
@@ -1590,6 +1594,29 @@ mod tests {
             .softmax()
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn health_sink_survives_a_panicking_holder() {
+        let sink = HealthSink::new();
+        let event = |monitor| HealthEvent::SupervisorReject { monitor };
+        sink.push(event("before"));
+        let holder = sink.clone();
+        let joined = std::thread::spawn(move || {
+            let _guard = holder.0.lock().unwrap();
+            panic!("holder panics with the sink locked");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(sink.0.is_poisoned());
+        sink.push(event("push"));
+        sink.extend(&[event("extend")]);
+        assert_eq!(sink.len(), 3);
+        assert_eq!(
+            sink.drain(),
+            vec![event("before"), event("push"), event("extend")]
+        );
+        assert!(sink.is_empty());
     }
 
     fn calibration() -> Vec<Vec<f32>> {

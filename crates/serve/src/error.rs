@@ -37,6 +37,17 @@ pub enum ServeError {
         /// Verdicts the backend returned.
         actual: usize,
     },
+    /// A finished run did not answer every arrival exactly once. The run
+    /// fails closed instead of reporting over a response set that lost or
+    /// repeated a request.
+    ResponseConservation {
+        /// Arrival ids that got no response.
+        missing: Vec<u64>,
+        /// Ids answered more than once (each listed once).
+        duplicated: Vec<u64>,
+        /// Response ids that match no arrival.
+        unexpected: Vec<u64>,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -58,6 +69,15 @@ impl fmt::Display for ServeError {
             } => write!(
                 f,
                 "member {member} returned {actual} verdicts for a batch of {expected}"
+            ),
+            ServeError::ResponseConservation {
+                missing,
+                duplicated,
+                unexpected,
+            } => write!(
+                f,
+                "responses do not answer each arrival exactly once: \
+                 missing {missing:?}, duplicated {duplicated:?}, unexpected {unexpected:?}"
             ),
         }
     }

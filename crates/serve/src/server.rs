@@ -66,7 +66,7 @@ use safex_trace::{EvidenceChain, Fnv64, RecordKind, Value};
 
 use crate::backend::{Backend, BatchVerdict};
 use crate::batcher::ServiceModel;
-use crate::cache::ResultCache;
+use crate::cache::{CachedResult, ResultCache};
 use crate::clock::{ClockSource, SimClock};
 use crate::config::ServerConfig;
 use crate::error::ServeError;
@@ -75,7 +75,7 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{Admission, AdmissionQueue, Pending};
 use crate::request::{ModelId, Outcome, Request, Response, ShedReason};
 use crate::route::{admits, severity, CandidateView, RouteView, RoutingPolicy};
-use crate::snapshot::{trace_digest, CacheEntrySnapshot, ChainEntry, RunSnapshot, ServerSnapshot};
+use crate::snapshot::{trace_digest, ChainEntry, RunSnapshot, ServerSnapshot};
 use crate::soak::{
     OpsPlan, SoakOutcome, SoakStats, StallOp, SwapEvent, SwapOp, WatchStage, WatchdogState,
 };
@@ -376,6 +376,39 @@ fn stall_clamp(stalls: &[StallOp], stage: WatchStage, mut t: u64) -> u64 {
     }
 }
 
+/// Checks that `responses`, sorted by id, answer each arrival of a
+/// trace of `arrivals` requests (ids `0..arrivals`) exactly once.
+fn check_conservation(arrivals: usize, responses: &[Response]) -> Result<(), ServeError> {
+    let (mut missing, mut duplicated, mut unexpected) = (Vec::new(), Vec::new(), Vec::new());
+    let mut expected = 0..arrivals as u64;
+    let mut last = None;
+    for id in responses.iter().map(|r| r.id) {
+        if last == Some(id) {
+            if duplicated.last() != Some(&id) {
+                duplicated.push(id);
+            }
+            continue;
+        }
+        last = Some(id);
+        if id >= arrivals as u64 {
+            unexpected.push(id);
+            continue;
+        }
+        missing.extend(expected.start..id);
+        expected.start = id + 1;
+    }
+    missing.extend(expected);
+    if missing.is_empty() && duplicated.is_empty() && unexpected.is_empty() {
+        Ok(())
+    } else {
+        Err(ServeError::ResponseConservation {
+            missing,
+            duplicated,
+            unexpected,
+        })
+    }
+}
+
 /// The deterministic fleet serving runtime.
 pub struct Server<B: Backend> {
     fleet: Fleet<B>,
@@ -620,7 +653,9 @@ impl<B: Backend> Server<B> {
     /// # Errors
     ///
     /// Propagates backend infrastructure failures; outcome-level
-    /// failures (sheds, timeouts, stops) are data, not errors.
+    /// failures (sheds, timeouts, stops) are data, not errors. A run that
+    /// did not answer every arrival exactly once (a server defect) fails
+    /// with [`ServeError::ResponseConservation`].
     pub fn run_trace(&mut self, trace: &ArrivalTrace) -> Result<ServeReport, ServeError> {
         self.run_trace_with(trace, |_, _| {})
     }
@@ -656,7 +691,8 @@ impl<B: Backend> Server<B> {
     /// Propagates backend infrastructure failures, an invalid plan, and
     /// [`ServeError::BadSnapshot`] when a capture point lands while a
     /// hot swap is still draining (snapshots of half-performed swaps are
-    /// not representable, by design).
+    /// not representable, by design). Fails with
+    /// [`ServeError::ResponseConservation`] as [`Server::run_trace`] does.
     pub fn run_soak(
         &mut self,
         trace: &ArrivalTrace,
@@ -837,12 +873,7 @@ impl<B: Backend> Server<B> {
         if !ctx.draining.is_empty() {
             self.try_commit_swaps(&mut run, &mut ctx);
         }
-        debug_assert_eq!(
-            run.responses.len(),
-            arrivals.len(),
-            "one response per request"
-        );
-        let report = self.finish_report(run);
+        let report = self.finish_report(run, arrivals.len())?;
         Ok(SoakOutcome {
             report,
             snapshot: ctx.captured,
@@ -1153,17 +1184,7 @@ impl<B: Backend> Server<B> {
             config_digest: self.config_digest(),
             trace_digest: trace_digest(trace),
             monitors: self.monitors.iter().map(|m| m.export_state()).collect(),
-            cache_entries: self
-                .cache
-                .entries_in_order()
-                .into_iter()
-                .map(|(input, result)| CacheEntrySnapshot {
-                    input: input.to_vec(),
-                    class: result.class,
-                    confidence: result.confidence,
-                    model: result.model,
-                })
-                .collect(),
+            cache_entries: self.cache.entries_in_order(),
             chain: self
                 .chain
                 .records()
@@ -1185,8 +1206,14 @@ impl<B: Backend> Server<B> {
         snap.encode()
     }
 
-    /// Seals a finished run into its report.
-    fn finish_report(&self, run: RunState) -> ServeReport {
+    /// Seals a finished run over a trace of `arrivals` requests into its
+    /// report.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::ResponseConservation`] unless every arrival was
+    /// answered exactly once.
+    fn finish_report(&self, run: RunState, arrivals: usize) -> Result<ServeReport, ServeError> {
         let RunState {
             mut responses,
             transitions,
@@ -1197,6 +1224,7 @@ impl<B: Backend> Server<B> {
         } = run;
         metrics.record_peak_queue(queue.peak());
         responses.sort_by_key(|r| r.id);
+        check_conservation(arrivals, &responses)?;
         let summaries = self
             .fleet
             .members()
@@ -1213,7 +1241,7 @@ impl<B: Backend> Server<B> {
                 transitions: monitor.transitions().len(),
             })
             .collect();
-        ServeReport {
+        Ok(ServeReport {
             responses,
             transitions,
             models: summaries,
@@ -1221,7 +1249,7 @@ impl<B: Backend> Server<B> {
             snapshot: metrics.snapshot(),
             chain_head: self.chain.head_hash(),
             soak: stats,
-        }
+        })
     }
 
     fn all_stopped(&self) -> bool {
@@ -1319,9 +1347,13 @@ impl<B: Backend> Server<B> {
         // Verified-result cache: a hit answers immediately, on evidence.
         if self.cache.is_enabled() {
             metrics.record_cache_lookup();
-            if let Some(hit) = self.cache.lookup(&request.input) {
-                let (class, confidence, model, digest) =
-                    (hit.class, hit.confidence, hit.model, hit.digest);
+            if let Some(CachedResult {
+                class,
+                confidence,
+                model,
+                digest,
+            }) = self.cache.lookup(&request.input)
+            {
                 metrics.record_cache_hit();
                 self.chain.append(
                     RecordKind::CacheHit,
@@ -1719,5 +1751,61 @@ impl<B: Backend> Server<B> {
         if !failover.is_empty() {
             queue.put_back(failover);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::Tier;
+
+    fn responses(ids: &[u64]) -> Vec<Response> {
+        ids.iter()
+            .map(|&id| Response {
+                id,
+                tier: Tier::Medium,
+                arrived_at: id,
+                resolved_at: id,
+                outcome: Outcome::Shed(ShedReason::QueueFull),
+            })
+            .collect()
+    }
+
+    fn conservation(arrivals: usize, ids: &[u64]) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+        match check_conservation(arrivals, &responses(ids)) {
+            Ok(()) => Default::default(),
+            Err(ServeError::ResponseConservation {
+                missing,
+                duplicated,
+                unexpected,
+            }) => (missing, duplicated, unexpected),
+            Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    #[test]
+    fn one_response_per_arrival_conserves() {
+        assert!(check_conservation(4, &responses(&[0, 1, 2, 3])).is_ok());
+        assert!(check_conservation(0, &[]).is_ok());
+    }
+
+    #[test]
+    fn a_dropped_response_is_named() {
+        assert_eq!(conservation(5, &[0, 2, 4]), (vec![1, 3], vec![], vec![]));
+        assert_eq!(conservation(3, &[0, 1]), (vec![2], vec![], vec![]));
+        assert_eq!(conservation(2, &[]), (vec![0, 1], vec![], vec![]));
+    }
+
+    #[test]
+    fn a_duplicated_response_is_named() {
+        assert_eq!(conservation(3, &[0, 1, 1, 1, 2]), (vec![], vec![1], vec![]));
+        // Same count as the trace, so a count check alone would pass.
+        assert_eq!(conservation(3, &[0, 0, 2]), (vec![1], vec![0], vec![]));
+        assert_eq!(conservation(2, &[0, 1, 7]), (vec![], vec![], vec![7]));
+        let err = check_conservation(3, &responses(&[0, 0, 2])).unwrap_err();
+        assert!(
+            err.to_string().contains("missing [1], duplicated [0]"),
+            "{err}"
+        );
     }
 }

@@ -11,7 +11,7 @@ use safex_serve::{
     PoolBackend, Request, RoutingKind, ServeReport, Server, ServerConfig, Tier, TrafficConfig,
 };
 use safex_tensor::{DetRng, Shape};
-use safex_trace::{Fnv64, RecordKind};
+use safex_trace::{input_digest, Fnv64, RecordKind, Value};
 
 fn fixture() -> (Model, Vec<Vec<f32>>) {
     let mut rng = DetRng::new(0xF1EE7);
@@ -502,6 +502,21 @@ fn cache_hits_are_exact_verified_and_on_evidence() {
             .len() as u64,
         hits
     );
+    // Each hit names the evidence digest of the very input it answered.
+    for record in server.evidence().records_of_kind(RecordKind::CacheHit) {
+        let Some(Value::U64(id)) = record.field("request") else {
+            panic!("CacheHit without a request id: {record:?}");
+        };
+        let request = &trace.arrivals()[*id as usize].request;
+        assert_eq!(
+            record.field("digest"),
+            Some(&Value::Str(format!(
+                "{:016x}",
+                input_digest(&request.input)
+            ))),
+            "request {id}"
+        );
+    }
     assert!(server.evidence().verify().is_ok());
 
     // The same trace with the cache off executes everything fresh and

@@ -4,7 +4,8 @@
 #
 # Usage:
 #   scripts/check.sh              # full gate: fmt, clippy, benches, tests,
-#                                 # quick bench + fused-overhead perf smoke
+#                                 # the perfbench self-test, quick bench +
+#                                 # fused-overhead perf smoke
 #   scripts/check.sh --tests-only # fast tier: just the workspace test suite
 #                                 # (plus the test-count floor below) and the
 #                                 # kernel/hardening suites in release
@@ -91,6 +92,13 @@ echo "==> cargo test --release -q -p safex-tensor -p safex-nn"
 cargo test --release -q -p safex-tensor -p safex-nn
 
 if [[ "$TESTS_ONLY" == 0 ]]; then
+    # The benchmark is a package of its own over the public serving API;
+    # its self-test (a traced server reports exactly what an untraced one
+    # does, on every workload) is how an API change that breaks it fails
+    # here rather than at benchmark time.
+    echo "==> cargo test --release --offline -q --manifest-path perfbench/Cargo.toml"
+    cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
     echo "==> scripts/bench.sh --quick"
     scripts/bench.sh --quick
 fi

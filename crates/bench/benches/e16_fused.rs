@@ -1,10 +1,13 @@
-//! Experiment E16: fused verify-on-read kernels and batch-major arenas.
+//! Experiment E16: hardened per-decision cost and batch-major arenas.
 //!
-//! Measures what folding the CRC/parity sweep into the layer kernels
-//! buys over the second-sweep strategies (E11's `crc_every_decision`
-//! paid ~4.5x bare; fused rides the memory traffic inference already
-//! pays), and where the batch-major activation arena puts the
-//! batch=16 per-request cost relative to batch=1.
+//! Times what a hardened decision pays over the bare engine when its
+//! weights are checked by the pre-pass before the layer loop — one read
+//! of each checked layer that yields both the CRC-32 and the XOR parity —
+//! under `Full` and its alias `Fused` every decision, every eighth
+//! decision, and `Rotating`; and where the batch-major activation arena
+//! puts the batch=16 per-request cost relative to batch=1. The
+//! `e16_fused/*` ids keep their names: `fused_*` rows time the `Fused`
+//! strategy, which now runs exactly the `Full` pre-pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use safex_bench::workload;
@@ -34,8 +37,8 @@ fn bench(c: &mut Criterion) {
     let (_, _, model, _) = workload();
     let stream = inputs();
 
-    // Per-decision hardened inference cost: the fused strategy against
-    // the bare engine and the second-sweep strategies it replaces.
+    // Per-decision hardened inference cost of each strategy's pre-pass
+    // against the bare engine.
     let mut group = c.benchmark_group("e16_fused");
     group.sample_size(40);
     let mut plain = Engine::new(model.clone());

@@ -6,8 +6,8 @@
 //! agreement. Four pairs are pinned here, each an equivalence the
 //! workspace already claims elsewhere (golden digests, bench sweeps):
 //!
-//! 1. [`CrcStrategy::Full`] vs [`CrcStrategy::Fused`] — fused in-loop
-//!    verification must be bit-identical to the two-pass original.
+//! 1. [`CrcStrategy::Full`] vs [`CrcStrategy::Fused`] — the alias must
+//!    stay bit-identical to the strategy it names.
 //! 2. A [`CrcStrategy::Rotating`] [`HardenedPool`] at worker counts
 //!    {1, 2, 4, 8} — results (outputs *and* health events) must not
 //!    depend on scheduling.

@@ -138,8 +138,8 @@ impl EccCode {
     }
 
     /// XOR fold of every column parity — equivalently, the XOR of every
-    /// protected word. This is the whole-buffer signature the fused
-    /// verify-on-read kernels accumulate alongside the CRC
+    /// protected word. This is the whole-buffer signature a hardened
+    /// engine's weight check gets alongside the CRC from the same pass
     /// ([`safex_tensor::WeightDigest::parity`]), letting a cadence tick
     /// cross-check the sidecar without a second parameter sweep.
     pub fn parity_signature(&self) -> u32 {

@@ -6,7 +6,8 @@
 //! * **Weight checksums** — a CRC-32 over every parametric layer's
 //!   buffers, captured at construction ("golden") and re-verified on a
 //!   configurable decision cadence. Any weight bit-flip makes the next
-//!   scheduled check fail.
+//!   scheduled check fail. With an ECC sidecar, the same pass also
+//!   compares the buffers' XOR parity against the sidecar's signature.
 //! * **Activation range guards** — per-layer `[lo, hi]` envelopes learned
 //!   from calibration data ([`ActivationGuard::calibrate`]) and widened by
 //!   a slack factor. Corrupted activations that leave the envelope, and
@@ -30,10 +31,11 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use safex_tensor::{ops, CrcAccumulator, DenseKernel, DetRng, WeightDigest};
+use safex_tensor::crc::digest_f32;
+use safex_tensor::{ops, DetRng, WeightDigest};
 
 use crate::ecc::{EccCode, EccConfig, RepairOutcome};
-use crate::engine::{argmax, run_layer, run_layer_digest, Classification, Engine};
+use crate::engine::{argmax, run_layer, Classification, Engine};
 use crate::error::NnError;
 use crate::fault::{apply_input_fault, ActivationFault, FaultPlan, Injection, InjectionLog};
 use crate::layer::Layer;
@@ -50,7 +52,9 @@ pub enum HealthEvent {
         layer: usize,
         /// Golden CRC-32 captured at construction (or last rebaseline).
         expected: u32,
-        /// CRC-32 of the parameters as they are now.
+        /// CRC-32 of the parameters as they are now (equal to `expected`
+        /// when only the parity cross-check against the ECC sidecar
+        /// failed).
         actual: u32,
         /// Worst-case decisions between the corrupting write and this
         /// check, from the engine's [`CrcStrategy`]: `cadence` for
@@ -232,9 +236,8 @@ impl HealthSink {
     }
 }
 
-// The CRC-32 primitives moved to `safex_tensor::crc` in PR 8 so the
-// fused verify-on-read kernels can accumulate them inside the matmul
-// sweep; re-exported here unchanged for every existing caller.
+// The CRC-32 primitives live in `safex_tensor::crc`; re-exported here
+// unchanged for every existing caller.
 pub use safex_tensor::crc::{crc32, crc32_words};
 
 /// The parametric buffers checksums cover, if the layer has any.
@@ -276,16 +279,29 @@ fn encode_sidecars(
 
 /// CRC-32 of one layer's parameters (`None` for non-parametric layers).
 ///
-/// Runs the slice fast path ([`CrcAccumulator`]) over the weight and
-/// bias buffers instead of a chained per-word iterator; the value is
+/// Runs the slice fast path ([`digest_f32`]) over the weight and bias
+/// buffers instead of a chained per-word iterator; the value is
 /// bit-identical to `crc32_words` over the concatenated word stream.
 pub fn layer_checksum(layer: &Layer) -> Option<u32> {
-    parametric_buffers(layer).map(|(weights, bias)| {
-        let mut acc = CrcAccumulator::new();
-        acc.update_f32(weights);
-        acc.update_f32(bias);
-        acc.finish().crc
-    })
+    parametric_buffers(layer).map(|(weights, bias)| digest_f32(weights, bias).crc)
+}
+
+/// Judges one scheduled check of a golden slot from the digest of its
+/// current parameters: the CRC must equal the golden `expected`, and,
+/// when the slot has an ECC sidecar, the XOR parity must equal the
+/// sidecar's signature. Returns the current CRC on a mismatch.
+///
+/// Both signatures come out of the same pass over the parameters. A
+/// layer whose CRC mismatches fails whatever its parity; the parity
+/// decides only when the CRC matches, which is how it catches a
+/// corruption the CRC misses.
+pub(crate) fn digest_mismatch(
+    digest: WeightDigest,
+    expected: u32,
+    sidecar: Option<&EccCode>,
+) -> Option<u32> {
+    let parity_ok = sidecar.is_none_or(|s| s.parity_signature() == digest.parity);
+    (digest.crc != expected || !parity_ok).then_some(digest.crc)
 }
 
 /// CRC-32 of every parametric layer: `(layer index, crc)` pairs.
@@ -402,12 +418,17 @@ impl ActivationGuard {
 /// cadence tick (O(total params) per verifying decision, staleness ≤
 /// cadence); [`CrcStrategy::Rotating`] verifies *one* layer per tick in
 /// round-robin (O(largest layer) per verifying decision, staleness ≤
-/// cadence × parametric layer count); [`CrcStrategy::Fused`] covers the
-/// whole model like `Full` but accumulates the digests *inside* the
-/// layer kernels, riding the memory traffic inference pays anyway. The
-/// rotation cursor is derived purely from the global decision index, so
-/// pooled and sequential runs of the same decision check the same layer
-/// — determinism survives.
+/// cadence × parametric layer count). [`CrcStrategy::Fused`] is an alias
+/// of `Full`. The rotation cursor is derived purely from the global
+/// decision index, so pooled and sequential runs of the same decision
+/// check the same layer — determinism survives.
+///
+/// Every strategy checks in one place: a pre-pass before the layer loop
+/// reads the weights, so a decision never computes on weights its own
+/// check has not yet judged. The pre-pass reads each checked layer once
+/// and gets both its CRC-32 and its XOR parity; with repair enabled, a
+/// layer passes only when the CRC matches golden *and* the parity
+/// matches its ECC sidecar's signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CrcStrategy {
     /// Verify every parametric layer on each cadence tick (the original
@@ -417,14 +438,9 @@ pub enum CrcStrategy {
     /// Verify one parametric layer per cadence tick, round-robin by
     /// `(decision_index / cadence) % parametric_layer_count`.
     Rotating,
-    /// Verify every parametric layer on each cadence tick, like `Full`,
-    /// but fused into the layer kernels: the CRC-32 word stream (and the
-    /// ECC parity signature) accumulates over weights and bias in the
-    /// exact traversal order the matmul streams them, so a verifying
-    /// decision pays one parameter sweep instead of two. Verdicts,
-    /// events, event order, and the staleness bound are identical to
-    /// `Full`; the parity cross-check can additionally flag corruption
-    /// that a CRC collision would hide.
+    /// An alias of `Full`: the same pre-pass, verdicts, events and
+    /// staleness bound. The variant stays so existing configurations
+    /// keep working.
     Fused,
 }
 
@@ -530,7 +546,6 @@ pub struct HardenedEngine {
     /// lets a pooled replica serving a non-contiguous index stream replay
     /// the silent repairs the sequential reference performed in between.
     synced_to: u64,
-    kernel: DenseKernel,
     /// [`HardenConfig::staleness_bound`] evaluated once at construction
     /// (and on rebaseline) — it is pure in `(config, golden.len())`, both
     /// fixed between rebaselines, and the hot path reads it on every
@@ -572,23 +587,8 @@ impl HardenedEngine {
             decisions: 0,
             events_seen: 0,
             synced_to: 0,
-            kernel: DenseKernel::Exact,
             staleness_cached,
         })
-    }
-
-    /// Selects the dense-kernel strategy (default [`DenseKernel::Exact`]).
-    ///
-    /// The chunked kernel is deterministic for any worker count but not
-    /// bit-identical to `Exact`; switch it only together with whatever
-    /// reference engine the campaign scores against.
-    pub fn set_kernel(&mut self, kernel: DenseKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The dense-kernel strategy this engine executes with.
-    pub fn kernel(&self) -> DenseKernel {
-        self.kernel
     }
 
     /// Worst-case decisions between a parameter corruption and detection
@@ -736,8 +736,6 @@ impl HardenedEngine {
             return;
         }
         match self.config.crc_strategy {
-            // Fused covers the whole model per tick exactly like Full, so
-            // the catch-up replay is identical.
             CrcStrategy::Full | CrcStrategy::Fused => {
                 for gi in 0..self.golden.len() {
                     self.silent_repair(gi);
@@ -758,7 +756,7 @@ impl HardenedEngine {
         }
     }
 
-    /// Repairs golden slot `gi` if its CRC mismatches, without reporting:
+    /// Repairs golden slot `gi` if its check fails, without reporting:
     /// the replica that owns the scheduled check emits the event; this is
     /// only weight-state reconciliation.
     fn silent_repair(&mut self, gi: usize) {
@@ -768,30 +766,29 @@ impl HardenedEngine {
     }
 
     /// Golden slots a scheduled check at `index` verifies before the
-    /// layer loop: all of them under [`CrcStrategy::Full`], one under
-    /// [`CrcStrategy::Rotating`] (cursor derived from the global
-    /// decision index, never from engine-local state, so pooled replicas
-    /// replaying the same decision verify the same layer), none under
-    /// [`CrcStrategy::Fused`] (verified inside the layer loop).
+    /// layer loop: all of them under [`CrcStrategy::Full`] (and its alias
+    /// `Fused`), one under [`CrcStrategy::Rotating`] (cursor derived from
+    /// the global decision index, never from engine-local state, so
+    /// pooled replicas replaying the same decision verify the same
+    /// layer).
     fn prepass_slots(&self, index: u64) -> Range<usize> {
         match self.config.crc_strategy {
-            CrcStrategy::Full => 0..self.golden.len(),
+            CrcStrategy::Full | CrcStrategy::Fused => 0..self.golden.len(),
             CrcStrategy::Rotating => {
                 let tick = index / self.config.crc_cadence;
                 let slot = (tick % self.golden.len() as u64) as usize;
                 slot..slot + 1
             }
-            CrcStrategy::Fused => 0..0,
         }
     }
 
-    /// One scheduled CRC computation over golden slot `gi`: the current
-    /// CRC when it disagrees with golden, `None` when it matches.
+    /// One scheduled check of golden slot `gi` (see [`digest_mismatch`]):
+    /// the current CRC when the slot fails, `None` when it passes.
     fn slot_mismatch(&self, gi: usize) -> Option<u32> {
         let (layer, expected) = self.golden[gi];
-        let actual = layer_checksum(&self.model.layers()[layer])
+        let (weights, bias) = parametric_buffers(&self.model.layers()[layer])
             .expect("golden entries index parametric layers");
-        (actual != expected).then_some(actual)
+        digest_mismatch(digest_f32(weights, bias), expected, self.sidecars.get(gi))
     }
 
     /// Judges a detected mismatch on golden slot `gi` (`actual` is the
@@ -962,18 +959,7 @@ impl HardenedEngine {
         self.infer_indexed(index, input).map(argmax)
     }
 
-    /// The core decision: inject → execute → detect.
-    ///
-    /// Under [`CrcStrategy::Fused`] a cadence tick verifies *inside* the
-    /// layer loop: the fused kernels accumulate each parametric layer's
-    /// CRC/parity digest in the exact order the matmul streams the
-    /// weights, and the digests are judged after the loop (spliced into
-    /// the event position the pre-pass check would have used, so event
-    /// order matches `Full`). When an ECC repair corrects a fault found
-    /// this way, the decision re-runs once on the repaired weights —
-    /// `Full` repairs *before* its layer loop, so the re-run is what
-    /// keeps outputs bit-identical. The repaired weights are verified,
-    /// so the re-run uses the plain kernels.
+    /// The core decision: inject → check weights → execute → detect.
     fn run(&mut self, index: u64, input: &[f32]) -> Result<(usize, bool), NnError> {
         if input.len() != self.model.input_shape().len() {
             return Err(NnError::InputShape {
@@ -981,151 +967,86 @@ impl HardenedEngine {
                 actual: input.len(),
             });
         }
+        self.events.clear();
+        self.injections.clear();
+        self.buf_a[..input.len()].copy_from_slice(input);
+
+        // One fault stream per decision, derived from (plan seed, index):
+        // the sequence of draws below is fixed, so pooled and sequential
+        // replays of the same decision are identical.
+        let mut fault_rng = self.plan.map(|p| p.decision_rng(index));
+        input_stage(
+            self.plan,
+            fault_rng.as_mut(),
+            &mut self.buf_a[..input.len()],
+            &mut self.events,
+            &mut self.injections,
+        );
+
         let crc_scheduled = self.config.crc_cadence > 0 && !self.golden.is_empty();
-        let on_tick = crc_scheduled && index.is_multiple_of(self.config.crc_cadence);
-        let mut verify_in_pass = on_tick && self.config.crc_strategy == CrcStrategy::Fused;
-        let mut first_attempt = true;
-        // CRC events found in-pass, carried across a repair re-run.
-        let mut crc_events: Vec<HealthEvent> = Vec::new();
+        if crc_scheduled {
+            // With repair enabled, first replay the silent repairs any
+            // scheduled checks in `[synced_to, index)` would have applied
+            // — a pooled replica may be served a non-contiguous index
+            // stream, and its weights must match the sequential reference
+            // *before* the layer loop reads them. Sequentially,
+            // `synced_to == index` and this is a no-op.
+            if self.config.repair.is_some() {
+                self.catch_up(index);
+            }
+            if index.is_multiple_of(self.config.crc_cadence) {
+                // The staleness bound is Some whenever we get here
+                // (cadence and golden are both non-zero).
+                let staleness = self.staleness_bound().unwrap_or(0);
+                for gi in self.prepass_slots(index) {
+                    if let Some(actual) = self.slot_mismatch(gi) {
+                        let event = self.resolve_mismatch(gi, actual, staleness);
+                        self.events.push(event);
+                    }
+                }
+            }
+            self.synced_to = self.synced_to.max(index + 1);
+        }
 
-        let (out_len, out_in_a) = loop {
-            self.events.clear();
-            self.injections.clear();
-            self.buf_a[..input.len()].copy_from_slice(input);
-
-            // One fault stream per decision, derived from (plan seed,
-            // index): the sequence of draws below is fixed, so pooled and
-            // sequential replays of the same decision are identical — as
-            // is a fused repair re-run.
-            let mut fault_rng = self.plan.map(|p| p.decision_rng(index));
-            input_stage(
-                self.plan,
+        let activation_fault = self.plan.and_then(|p| p.activation);
+        let mut cur_shape = self.model.input_shape();
+        let mut cur_in_a = true;
+        for (i, layer) in self.model.layers().iter().enumerate() {
+            let out_shape = self
+                .model
+                .layer_output_shape(i)
+                .expect("layer index in range");
+            let (src, dst) = if cur_in_a {
+                (&self.buf_a, &mut self.buf_b)
+            } else {
+                (&self.buf_b, &mut self.buf_a)
+            };
+            let dst = &mut dst[..out_shape.len()];
+            run_layer(layer, &src[..cur_shape.len()], dst, &cur_shape)?;
+            inject_activation(
+                activation_fault,
                 fault_rng.as_mut(),
-                &mut self.buf_a[..input.len()],
-                &mut self.events,
+                i,
+                dst,
                 &mut self.injections,
             );
-
-            if crc_scheduled && first_attempt {
-                // With repair enabled, first replay the silent repairs any
-                // scheduled checks in `[synced_to, index)` would have
-                // applied — a pooled replica may be served a
-                // non-contiguous index stream, and its weights must match
-                // the sequential reference *before* the layer loop reads
-                // them. Sequentially, `synced_to == index` and this is a
-                // no-op.
-                if self.config.repair.is_some() {
-                    self.catch_up(index);
-                }
-                if on_tick {
-                    // The staleness bound is Some whenever we get here
-                    // (cadence and golden are both non-zero).
-                    let staleness = self.staleness_bound().unwrap_or(0);
-                    for gi in self.prepass_slots(index) {
-                        if let Some(actual) = self.slot_mismatch(gi) {
-                            let event = self.resolve_mismatch(gi, actual, staleness);
-                            self.events.push(event);
-                        }
-                    }
-                }
-                self.synced_to = self.synced_to.max(index + 1);
+            if let Some(guard) = &self.guard {
+                guard.check(i, dst, &mut self.events);
             }
-            // Where the pre-pass check would have emitted: in-pass CRC
-            // events splice in here so event order matches `Full`.
-            let splice_at = self.events.len();
+            cur_shape = out_shape;
+            cur_in_a = !cur_in_a;
+        }
 
-            let activation_fault = self.plan.and_then(|p| p.activation);
-            let mut cur_shape = self.model.input_shape();
-            let mut cur_in_a = true;
-            // In-pass digests, one per parametric layer. The layer loop
-            // visits parametric layers in ascending order — the same
-            // order `layer_checksums` built `golden` in — so `sweep[gi]`
-            // judges golden slot `gi`.
-            let mut sweep: Vec<WeightDigest> = Vec::new();
-            for (i, layer) in self.model.layers().iter().enumerate() {
-                let out_shape = self
-                    .model
-                    .layer_output_shape(i)
-                    .expect("layer index in range");
-                let (src, dst) = if cur_in_a {
-                    (&self.buf_a, &mut self.buf_b)
-                } else {
-                    (&self.buf_b, &mut self.buf_a)
-                };
-                let dst = &mut dst[..out_shape.len()];
-                if verify_in_pass {
-                    if let Some(digest) = run_layer_digest(
-                        layer,
-                        &src[..cur_shape.len()],
-                        dst,
-                        &cur_shape,
-                        self.kernel,
-                    )? {
-                        sweep.push(digest);
-                    }
-                } else {
-                    run_layer(layer, &src[..cur_shape.len()], dst, &cur_shape, self.kernel)?;
-                }
-                inject_activation(
-                    activation_fault,
-                    fault_rng.as_mut(),
-                    i,
-                    dst,
-                    &mut self.injections,
-                );
-                if let Some(guard) = &self.guard {
-                    guard.check(i, dst, &mut self.events);
-                }
-                cur_shape = out_shape;
-                cur_in_a = !cur_in_a;
-            }
-
-            if verify_in_pass {
-                let staleness = self.staleness_bound().unwrap_or(0);
-                let mut repaired = false;
-                for (gi, digest) in sweep.iter().enumerate() {
-                    // The parity signature rides the same sweep; it can
-                    // only disagree while the CRC matches on a CRC
-                    // collision, so checking both strictly tightens
-                    // detection relative to `Full` without ever changing
-                    // a verdict `Full` would give.
-                    let parity_ok = self
-                        .sidecars
-                        .get(gi)
-                        .is_none_or(|s| s.parity_signature() == digest.parity);
-                    if digest.crc == self.golden[gi].1 && parity_ok {
-                        continue;
-                    }
-                    let event = self.resolve_mismatch(gi, digest.crc, staleness);
-                    repaired |= matches!(event, HealthEvent::CorrectedFault { .. });
-                    crc_events.push(event);
-                }
-                if repaired {
-                    // The layer loop above consumed pre-repair weights;
-                    // re-run the decision on the corrected parameters so
-                    // the output matches `Full`, which repairs before its
-                    // layer loop ever runs.
-                    verify_in_pass = false;
-                    first_attempt = false;
-                    continue;
-                }
-            }
-            self.events
-                .splice(splice_at..splice_at, crc_events.drain(..));
-
-            // Without a guard, still refuse to stay silent on a
-            // non-finite final activation.
-            if self.guard.is_none() {
-                let out = if cur_in_a { &self.buf_a } else { &self.buf_b };
-                flag_non_finite_output(self.model.len(), &out[..cur_shape.len()], &mut self.events);
-            }
-
-            break (cur_shape.len(), cur_in_a);
-        };
+        // Without a guard, still refuse to stay silent on a non-finite
+        // final activation.
+        if self.guard.is_none() {
+            let out = if cur_in_a { &self.buf_a } else { &self.buf_b };
+            flag_non_finite_output(self.model.len(), &out[..cur_shape.len()], &mut self.events);
+        }
 
         self.events_seen += self.events.len() as u64;
         publish(&self.sink, &self.log, &self.events, &self.injections);
-        Ok((out_len, out_in_a))
+        Ok((cur_shape.len(), cur_in_a))
     }
 
     /// Classifies `inputs` as the decisions `first, first + 1, …` through
@@ -1143,15 +1064,10 @@ impl HardenedEngine {
     /// decision, as before). The items then share one layer sweep — the
     /// batched dense kernel streams each weight row once per tile — in
     /// which every item draws its activation faults from its own
-    /// decision stream and gets its own guard check per layer. Two cases
-    /// end the shared sweep early:
-    ///
-    /// * an ECC repair is about to rewrite a weight: the waiting items are
-    ///   swept first, so each reads exactly the weights it reads
-    ///   sequentially;
-    /// * a [`CrcStrategy::Fused`] on-tick item verifies inside its own
-    ///   pass (and re-runs after an in-pass repair), so it runs through
-    ///   the per-item path once the items before it are swept.
+    /// decision stream and gets its own guard check per layer. Only an
+    /// ECC repair about to rewrite a weight ends the shared sweep early:
+    /// the waiting items are swept first, so each reads exactly the
+    /// weights it reads sequentially.
     ///
     /// # Errors
     ///
@@ -1183,17 +1099,6 @@ impl HardenedEngine {
         for (k, input) in inputs.iter().enumerate() {
             let index = first + k as u64;
             let input = input.as_ref();
-            let on_tick = crc_scheduled && index.is_multiple_of(self.config.crc_cadence);
-            if on_tick && self.config.crc_strategy == CrcStrategy::Fused {
-                self.sweep(&mut pending, &mut out)?;
-                let classification = self.classify_indexed(index, input)?;
-                out.push(CheckedClassification {
-                    classification,
-                    events: self.events.clone(),
-                    injections: self.injections.clone(),
-                });
-                continue;
-            }
             // The scheduled check runs before this item's input stage
             // (neither reads what the other writes), so a sweep it
             // triggers never includes this item; its events still follow
@@ -1208,7 +1113,7 @@ impl HardenedEngine {
                     }
                     self.catch_up(index);
                 }
-                if on_tick {
+                if index.is_multiple_of(self.config.crc_cadence) {
                     for gi in self.prepass_slots(index) {
                         if let Some(actual) = self.slot_mismatch(gi) {
                             if repair {
@@ -1276,16 +1181,7 @@ impl HardenedEngine {
             };
             if let Layer::Dense(d) = layer {
                 ops::dense_batch_into_with(
-                    self.kernel,
-                    &d.weights,
-                    &d.bias,
-                    src,
-                    dst,
-                    d.inputs,
-                    d.outputs,
-                    n,
-                    stride,
-                    stride,
+                    &d.weights, &d.bias, src, dst, d.inputs, d.outputs, n, stride, stride,
                 )?;
             } else {
                 for slot in 0..n {
@@ -1294,7 +1190,6 @@ impl HardenedEngine {
                         &src[slot * stride..][..cur_shape.len()],
                         &mut dst[slot * stride..][..out_shape.len()],
                         &cur_shape,
-                        self.kernel,
                     )?;
                 }
             }
@@ -1899,9 +1794,9 @@ mod tests {
 
     #[test]
     fn fused_matches_full_on_repaired_corruption() {
-        // Detect-and-correct: the in-pass digest finds the flip, the ECC
-        // repair lands, and the decision re-runs — output and events must
-        // equal Full, which repaired before its layer loop.
+        // Detect-and-correct: the pre-pass finds the flip and the ECC
+        // repair lands before the layer loop — output and events must
+        // equal Full.
         let strike = |e: &mut HardenedEngine, i: u64| {
             if i == 5 {
                 flip_weight(e, 2, 0, 30);
@@ -1969,7 +1864,7 @@ mod tests {
         let mut hardened = HardenedEngine::new(model(35), config).unwrap();
         assert_eq!(hardened.staleness_bound(), Some(4), "Fused bound = cadence");
         let input = [0.0; 4];
-        hardened.infer(&input).unwrap(); // index 0: verified in-pass, clean
+        hardened.infer(&input).unwrap(); // index 0: verified, clean
         flip_weight(&mut hardened, 2, 0, 3);
         for index in 1..4 {
             hardened.infer(&input).unwrap();
@@ -1978,7 +1873,7 @@ mod tests {
                 "index {index} is off-cadence"
             );
         }
-        hardened.infer(&input).unwrap(); // index 4: verified in-pass
+        hardened.infer(&input).unwrap(); // index 4: verified
         assert!(matches!(
             hardened.last_events(),
             [HealthEvent::ChecksumMismatch { staleness: 4, .. }]
@@ -2002,7 +1897,7 @@ mod tests {
         let mut engine = HardenedEngine::new(model(36), config).unwrap();
         engine.calibrate(&calibration()).unwrap();
         // Strike before cloning: every replica carries the corruption and
-        // the scheduled in-pass check must repair it mid-stream.
+        // the scheduled check must repair it mid-stream.
         flip_weight(&mut engine, 0, 1, 12);
         let inputs = calibration();
         let mut reference = Vec::new();
@@ -2029,19 +1924,6 @@ mod tests {
             let got = pool.classify_batch(&inputs).unwrap();
             assert_eq!(got, reference, "fused CRC, {workers} workers diverged");
         }
-    }
-
-    #[test]
-    fn hardened_chunked_kernel_deterministic() {
-        let mut hardened = HardenedEngine::new(model(24), HardenConfig::default()).unwrap();
-        hardened.set_kernel(DenseKernel::Chunked);
-        assert_eq!(hardened.kernel(), DenseKernel::Chunked);
-        let input = [0.3, -0.1, 0.7, 0.2];
-        let a = hardened.infer(&input).unwrap().to_vec();
-        for _ in 0..5 {
-            assert_eq!(hardened.infer(&input).unwrap(), a.as_slice());
-        }
-        assert!(hardened.last_events().is_empty(), "clean model stays clean");
     }
 
     #[test]

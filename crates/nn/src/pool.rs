@@ -23,7 +23,6 @@
 //! guarantee under parallelism.
 
 use safex_tensor::fixed::Q16_16;
-use safex_tensor::DenseKernel;
 
 use crate::engine::{Classification, Engine};
 use crate::error::NnError;
@@ -32,7 +31,14 @@ use crate::quant::{QEngine, QModel};
 
 /// Splits `n` items into `workers` contiguous chunk lengths that differ by
 /// at most one (earlier chunks take the remainder).
-fn chunk_lens(n: usize, workers: usize) -> Vec<usize> {
+///
+/// The one static partitioning of the workspace: the engine pools here,
+/// the fault campaigns (`safex-core`) and the scenario falsifier
+/// (`safex-falsify`) all split with it. As long as each item's seed is
+/// fixed *before* partitioning, the chunk layout cannot influence any RNG
+/// stream, and results stitched in chunk order are byte-identical for any
+/// worker count.
+pub fn chunk_lens(n: usize, workers: usize) -> Vec<usize> {
     let base = n / workers;
     let rem = n % workers;
     (0..workers)
@@ -181,26 +187,11 @@ impl EnginePool {
     ///
     /// Returns [`NnError::Pool`] when `workers` is zero.
     pub fn new(model: Model, workers: usize) -> Result<Self, NnError> {
-        EnginePool::with_kernel(model, workers, DenseKernel::Exact)
-    }
-
-    /// Creates a pool whose replicas run an explicit [`DenseKernel`].
-    ///
-    /// The determinism guarantee is per kernel: for a fixed kernel, batch
-    /// output is bit-exact for every worker count (the chunked kernel is
-    /// deterministic too — just not bit-identical to `Exact`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Pool`] when `workers` is zero.
-    pub fn with_kernel(model: Model, workers: usize, kernel: DenseKernel) -> Result<Self, NnError> {
         if workers == 0 {
             return Err(NnError::Pool("pool needs at least one worker".into()));
         }
         Ok(EnginePool {
-            workers: (0..workers)
-                .map(|_| Engine::with_kernel(model.clone(), kernel))
-                .collect(),
+            workers: (0..workers).map(|_| Engine::new(model.clone())).collect(),
         })
     }
 

@@ -2,7 +2,8 @@
 //!
 //! Mirrors [`crate::harden`] for [`QEngine`]: golden CRC-32 checksums over
 //! the Q16.16 parameter words re-verified on a cadence (with the same
-//! [`CrcStrategy`] rotation discipline), plus calibrated activation range
+//! [`CrcStrategy`] rotation discipline and the same parity cross-check
+//! against an ECC sidecar), plus calibrated activation range
 //! guards in raw fixed-point space. Detections surface as the same typed
 //! [`HealthEvent`]s through the same [`HealthSink`], so a
 //! `HealthMonitor` upstream cannot tell — and does not care — which
@@ -27,17 +28,18 @@
 //! [`HardenedQPool`] is bit-identical to a sequential
 //! [`HardenedQEngine::classify_indexed`] loop for any worker count.
 
+use safex_tensor::crc::digest_q16;
 use safex_tensor::fixed::Q16_16;
-use safex_tensor::{CrcAccumulator, WeightDigest};
 
 use crate::ecc::{EccCode, EccConfig, RepairOutcome};
 use crate::engine::Classification;
 use crate::error::NnError;
 use crate::harden::{
-    crc32_words, CheckedClassification, CrcStrategy, HardenConfig, HealthEvent, HealthSink,
+    crc32_words, digest_mismatch, CheckedClassification, CrcStrategy, HardenConfig, HealthEvent,
+    HealthSink,
 };
 use crate::pool::run_partitioned;
-use crate::quant::{run_qlayer, run_qlayer_digest, QLayer, QModel};
+use crate::quant::{run_qlayer, QLayer, QModel};
 
 /// The parametric buffers checksums cover, if the layer has any.
 fn q_parametric_buffers(layer: &QLayer) -> Option<(&[Q16_16], &[Q16_16])> {
@@ -86,12 +88,7 @@ fn encode_q_sidecars(
 /// layers). Runs over the raw Q16.16 bit words, so it is exactly as cheap
 /// as the float path's [`crate::harden::layer_checksum`].
 pub fn qlayer_checksum(layer: &QLayer) -> Option<u32> {
-    q_parametric_buffers(layer).map(|(weights, bias)| {
-        let mut acc = CrcAccumulator::new();
-        acc.update_q16(weights);
-        acc.update_q16(bias);
-        acc.finish().crc
-    })
+    q_parametric_buffers(layer).map(|(weights, bias)| digest_q16(weights, bias).crc)
 }
 
 /// CRC-32 of every parametric quantised layer: `(layer index, crc)` pairs.
@@ -445,8 +442,6 @@ impl HardenedQEngine {
             return;
         }
         match self.config.crc_strategy {
-            // Fused covers the whole model per tick exactly like Full, so
-            // the catch-up replay is identical.
             CrcStrategy::Full | CrcStrategy::Fused => {
                 for gi in 0..self.golden.len() {
                     self.silent_repair(gi);
@@ -467,25 +462,30 @@ impl HardenedQEngine {
         }
     }
 
-    /// Repairs golden slot `gi` if its CRC mismatches, without reporting.
+    /// Repairs golden slot `gi` if its check fails, without reporting.
     fn silent_repair(&mut self, gi: usize) {
-        let (layer, expected) = self.golden[gi];
-        let actual = qlayer_checksum(&self.model.layers()[layer])
-            .expect("golden entries index parametric layers");
-        if expected != actual {
+        if self.slot_mismatch(gi).is_some() {
             self.attempt_repair(gi);
         }
     }
 
-    /// Runs one scheduled CRC check over golden slot `gi`, attempting an
+    /// One scheduled check of golden slot `gi` (CRC, and parity against
+    /// the ECC sidecar when there is one): the current CRC when the slot
+    /// fails, `None` when it passes.
+    fn slot_mismatch(&self, gi: usize) -> Option<u32> {
+        let (layer, expected) = self.golden[gi];
+        let (weights, bias) = q_parametric_buffers(&self.model.layers()[layer])
+            .expect("golden entries index parametric layers");
+        digest_mismatch(digest_q16(weights, bias), expected, self.sidecars.get(gi))
+    }
+
+    /// Runs one scheduled check over golden slot `gi`, attempting an
     /// in-place ECC repair before escalating when repair is enabled.
     fn check_slot(&mut self, gi: usize, staleness: u64) {
-        let (layer, expected) = self.golden[gi];
-        let actual = qlayer_checksum(&self.model.layers()[layer])
-            .expect("golden entries index parametric layers");
-        if expected == actual {
+        let Some(actual) = self.slot_mismatch(gi) else {
             return;
-        }
+        };
+        let (layer, expected) = self.golden[gi];
         if self.config.repair.is_some() {
             if let Some((word, bit)) = self.attempt_repair(gi) {
                 self.events.push(HealthEvent::CorrectedFault {
@@ -631,11 +631,6 @@ impl HardenedQEngine {
     }
 
     /// The core decision: verify checksums → execute → guard.
-    ///
-    /// [`CrcStrategy::Fused`] cadence ticks verify inside the layer loop
-    /// via the digest kernels and re-run once after an in-pass ECC
-    /// repair, exactly like the float twin in `harden.rs` — see
-    /// `HardenedEngine::run` for the full rationale.
     fn run(&mut self, index: u64, input: &[Q16_16]) -> Result<(usize, bool), NnError> {
         if input.len() != self.model.input_shape().len() {
             return Err(NnError::InputShape {
@@ -643,143 +638,82 @@ impl HardenedQEngine {
                 actual: input.len(),
             });
         }
+        self.events.clear();
+        self.buf_a[..input.len()].copy_from_slice(input);
+
         let crc_scheduled = self.config.crc_cadence > 0 && !self.golden.is_empty();
-        let on_tick = crc_scheduled && index.is_multiple_of(self.config.crc_cadence);
-        let mut verify_in_pass = on_tick && self.config.crc_strategy == CrcStrategy::Fused;
-        let mut first_attempt = true;
-        let mut crc_events: Vec<HealthEvent> = Vec::new();
-
-        let (out_len, out_in_a) = loop {
-            self.events.clear();
-            self.buf_a[..input.len()].copy_from_slice(input);
-
-            if crc_scheduled && first_attempt {
-                // See the float twin in `harden.rs`: pooled replicas
-                // first replay the silent repairs of skipped scheduled
-                // checks so their weights match the sequential reference
-                // before the layer loop reads them.
-                if self.config.repair.is_some() {
-                    self.catch_up(index);
-                }
-                if on_tick {
-                    let staleness = self.staleness_bound().unwrap_or(0);
-                    match self.config.crc_strategy {
-                        CrcStrategy::Full => {
-                            for gi in 0..self.golden.len() {
-                                self.check_slot(gi, staleness);
-                            }
-                        }
-                        CrcStrategy::Rotating => {
-                            // Cursor derived from the global decision
-                            // index, never from engine-local state: pooled
-                            // replicas replaying the same decision verify
-                            // the same layer.
-                            let tick = index / self.config.crc_cadence;
-                            let slot = (tick % self.golden.len() as u64) as usize;
-                            self.check_slot(slot, staleness);
-                        }
-                        // Verified inside the layer loop below.
-                        CrcStrategy::Fused => {}
-                    }
-                }
-                self.synced_to = self.synced_to.max(index + 1);
+        if crc_scheduled {
+            // See the float twin in `harden.rs`: pooled replicas first
+            // replay the silent repairs of skipped scheduled checks so
+            // their weights match the sequential reference before the
+            // layer loop reads them.
+            if self.config.repair.is_some() {
+                self.catch_up(index);
             }
-            let splice_at = self.events.len();
-
-            let mut cur_shape = self.model.input_shape();
-            let mut cur_in_a = true;
-            let mut sweep: Vec<WeightDigest> = Vec::new();
-            for (i, layer) in self.model.layers().iter().enumerate() {
-                let out_shape = self
-                    .model
-                    .layer_output_shape(i)
-                    .expect("layer index in range");
-                let (src, dst) = if cur_in_a {
-                    (&self.buf_a, &mut self.buf_b)
-                } else {
-                    (&self.buf_b, &mut self.buf_a)
-                };
-                let dst = &mut dst[..out_shape.len()];
-                if verify_in_pass {
-                    if let Some(digest) =
-                        run_qlayer_digest(layer, &src[..cur_shape.len()], dst, &cur_shape)?
-                    {
-                        sweep.push(digest);
-                    }
-                } else {
-                    run_qlayer(layer, &src[..cur_shape.len()], dst, &cur_shape)?;
-                }
-                if let Some(guard) = &self.guard {
-                    guard.check(i, dst, &mut self.events);
-                }
-                cur_shape = out_shape;
-                cur_in_a = !cur_in_a;
-            }
-
-            if verify_in_pass {
+            if index.is_multiple_of(self.config.crc_cadence) {
                 let staleness = self.staleness_bound().unwrap_or(0);
-                let mut repaired = false;
-                for (gi, digest) in sweep.iter().enumerate() {
-                    let (layer, expected) = self.golden[gi];
-                    let parity_ok = self
-                        .sidecars
-                        .get(gi)
-                        .is_none_or(|s| s.parity_signature() == digest.parity);
-                    if digest.crc == expected && parity_ok {
-                        continue;
-                    }
-                    if self.config.repair.is_some() {
-                        if let Some((word, bit)) = self.attempt_repair(gi) {
-                            crc_events.push(HealthEvent::CorrectedFault {
-                                layer,
-                                word,
-                                bit,
-                                staleness,
-                            });
-                            repaired = true;
-                            continue;
+                match self.config.crc_strategy {
+                    CrcStrategy::Full | CrcStrategy::Fused => {
+                        for gi in 0..self.golden.len() {
+                            self.check_slot(gi, staleness);
                         }
                     }
-                    crc_events.push(HealthEvent::ChecksumMismatch {
-                        layer,
-                        expected,
-                        actual: digest.crc,
-                        staleness,
-                    });
-                }
-                if repaired {
-                    verify_in_pass = false;
-                    first_attempt = false;
-                    continue;
+                    CrcStrategy::Rotating => {
+                        // Cursor derived from the global decision index,
+                        // never from engine-local state: pooled replicas
+                        // replaying the same decision verify the same
+                        // layer.
+                        let tick = index / self.config.crc_cadence;
+                        let slot = (tick % self.golden.len() as u64) as usize;
+                        self.check_slot(slot, staleness);
+                    }
                 }
             }
-            self.events
-                .splice(splice_at..splice_at, crc_events.drain(..));
+            self.synced_to = self.synced_to.max(index + 1);
+        }
 
-            // Without a guard, still refuse to stay silent on a saturated
-            // final activation (the fixed-point "non-finite").
-            if self.guard.is_none() {
-                let out = if cur_in_a { &self.buf_a } else { &self.buf_b };
-                if let Some((index, _)) = out[..cur_shape.len()]
-                    .iter()
-                    .enumerate()
-                    .find(|(_, v)| v.is_saturated())
-                {
-                    self.events.push(HealthEvent::SaturatedActivation {
-                        layer: self.model.layers().len() - 1,
-                        index,
-                    });
-                }
+        let mut cur_shape = self.model.input_shape();
+        let mut cur_in_a = true;
+        for (i, layer) in self.model.layers().iter().enumerate() {
+            let out_shape = self
+                .model
+                .layer_output_shape(i)
+                .expect("layer index in range");
+            let (src, dst) = if cur_in_a {
+                (&self.buf_a, &mut self.buf_b)
+            } else {
+                (&self.buf_b, &mut self.buf_a)
+            };
+            let dst = &mut dst[..out_shape.len()];
+            run_qlayer(layer, &src[..cur_shape.len()], dst, &cur_shape)?;
+            if let Some(guard) = &self.guard {
+                guard.check(i, dst, &mut self.events);
             }
+            cur_shape = out_shape;
+            cur_in_a = !cur_in_a;
+        }
 
-            break (cur_shape.len(), cur_in_a);
-        };
+        // Without a guard, still refuse to stay silent on a saturated
+        // final activation (the fixed-point "non-finite").
+        if self.guard.is_none() {
+            let out = if cur_in_a { &self.buf_a } else { &self.buf_b };
+            if let Some((index, _)) = out[..cur_shape.len()]
+                .iter()
+                .enumerate()
+                .find(|(_, v)| v.is_saturated())
+            {
+                self.events.push(HealthEvent::SaturatedActivation {
+                    layer: self.model.layers().len() - 1,
+                    index,
+                });
+            }
+        }
 
         self.events_seen += self.events.len() as u64;
         if let Some(sink) = &self.sink {
             sink.extend(&self.events);
         }
-        Ok((out_len, out_in_a))
+        Ok((cur_shape.len(), cur_in_a))
     }
 }
 
@@ -1193,7 +1127,7 @@ mod tests {
         };
         assert_qfused_equals_full(13, 1, None, &single);
         assert_qfused_equals_full(13, 4, None, &single);
-        // Repaired flip (in-pass digest → ECC correction → re-run).
+        // Repaired flip (pre-pass check → ECC correction).
         assert_qfused_equals_full(14, 1, Some(EccConfig::default()), &single);
         assert_qfused_equals_full(14, 2, Some(EccConfig { block_words: 8 }), &single);
         // Uncorrectable double flip escalates identically.

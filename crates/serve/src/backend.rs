@@ -1,23 +1,15 @@
 //! Inference backends: what the batcher dispatches to.
 //!
-//! A backend turns a formed batch into per-item verdicts. The two
-//! shipped backends cover the deployment spectrum:
-//!
-//! * [`PoolBackend`] — a [`HardenedPool`] of engine replicas. Fast path:
-//!   batch items fan out across replicas, each carrying its own health
-//!   events; the *server* owns the degradation ladder.
-//! * [`PipelineBackend`] — a full [`SafePipeline`] (pattern + optional
-//!   in-pipeline health). Slow path, but every decision carries pattern
-//!   semantics (fallback classes, monitor vetoes).
-//!
-//! Both are deterministic: identical batches produce identical verdicts
-//! regardless of pool worker count.
+//! A backend turns a formed batch into per-item verdicts. The shipped
+//! backend is [`PoolBackend`]: a [`HardenedPool`] of engine replicas.
+//! Batch items fan out across replicas, each carrying its own health
+//! events; the *server* owns the degradation ladder. It is deterministic:
+//! identical batches produce identical verdicts regardless of pool
+//! worker count.
 
-use safex_core::SafePipeline;
 use safex_nn::{
     apply_weight_flips, FaultInjector, HardenedEngine, HardenedPool, HealthEvent, WeightFlip,
 };
-use safex_patterns::Action;
 
 use crate::error::ServeError;
 
@@ -30,8 +22,9 @@ pub enum BatchVerdict {
         class: usize,
         /// Winning confidence.
         confidence: f32,
-        /// `true` when hardening diagnostics (or the pattern) flagged
-        /// this decision — the server feeds this into its health ladder.
+        /// `true` when hardening diagnostics flagged this decision — the
+        /// server feeds this into its health ladder. The server also
+        /// treats a non-finite `confidence` as flagged.
         flagged: bool,
         /// `true` when a weight fault was detected *and repaired in
         /// place* (ECC sidecar) during this decision. Corrected faults
@@ -228,57 +221,6 @@ impl Backend for PoolBackend {
                     flagged,
                     corrected,
                 }
-            })
-            .collect())
-    }
-}
-
-/// A [`SafePipeline`]-backed backend: every item passes through the
-/// pipeline's safety pattern.
-pub struct PipelineBackend {
-    pipeline: SafePipeline,
-}
-
-impl PipelineBackend {
-    /// Wraps an assembled pipeline.
-    pub fn new(pipeline: SafePipeline) -> Self {
-        PipelineBackend { pipeline }
-    }
-
-    /// The wrapped pipeline (evidence, counters).
-    pub fn pipeline(&self) -> &SafePipeline {
-        &self.pipeline
-    }
-}
-
-impl Backend for PipelineBackend {
-    fn name(&self) -> &'static str {
-        "safe_pipeline"
-    }
-
-    fn serve(&mut self, inputs: &[&[f32]]) -> Result<Vec<BatchVerdict>, ServeError> {
-        let decisions = self.pipeline.decide_batch(inputs)?;
-        Ok(decisions
-            .into_iter()
-            .map(|d| match d.action {
-                Action::Proceed { class, confidence } => BatchVerdict::Ok {
-                    class,
-                    confidence,
-                    flagged: false,
-                    corrected: false,
-                },
-                Action::Fallback { class, .. } => BatchVerdict::Ok {
-                    class,
-                    // Fallback classes are policy, not evidence — they
-                    // carry no confidence score.
-                    confidence: 0.0,
-                    flagged: true,
-                    corrected: false,
-                },
-                Action::SafeStop { .. } => BatchVerdict::Stop,
-                // `Action` is #[non_exhaustive]; treat unknown variants
-                // conservatively.
-                _ => BatchVerdict::Stop,
             })
             .collect())
     }

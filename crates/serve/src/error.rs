@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use safex_core::CoreError;
 use safex_nn::NnError;
 
 /// Anything the serving runtime can fail with.
@@ -15,8 +14,6 @@ pub enum ServeError {
     BadTrace(String),
     /// The inference backend failed (wrong input shape, pool error, ...).
     Nn(NnError),
-    /// A pipeline-backed deployment failed below the serving layer.
-    Core(CoreError),
     /// A snapshot failed to decode or did not match the restoring server.
     ///
     /// Restores fail closed: no partial state is ever applied.
@@ -56,7 +53,6 @@ impl fmt::Display for ServeError {
             ServeError::BadConfig(msg) => write!(f, "bad serving config: {msg}"),
             ServeError::BadTrace(msg) => write!(f, "bad arrival trace: {msg}"),
             ServeError::Nn(e) => write!(f, "backend failure: {e}"),
-            ServeError::Core(e) => write!(f, "pipeline failure: {e}"),
             ServeError::BadSnapshot(msg) => write!(f, "bad snapshot: {msg}"),
             ServeError::DuplicateMember(name) => {
                 write!(f, "duplicate fleet member: {name}")
@@ -87,7 +83,6 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Nn(e) => Some(e),
-            ServeError::Core(e) => Some(e),
             _ => None,
         }
     }
@@ -96,11 +91,5 @@ impl std::error::Error for ServeError {
 impl From<NnError> for ServeError {
     fn from(e: NnError) -> Self {
         ServeError::Nn(e)
-    }
-}
-
-impl From<CoreError> for ServeError {
-    fn from(e: CoreError) -> Self {
-        ServeError::Core(e)
     }
 }

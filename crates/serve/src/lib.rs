@@ -3,7 +3,7 @@
 //!
 //! A deterministic, deadline-aware, multi-model fleet inference server
 //! for the SAFEXPLAIN runtime: the deployment shell around the hardened
-//! engines (`safex-nn`) and safe pipelines (`safex-core`).
+//! engines (`safex-nn`).
 //!
 //! Mainstream inference servers optimise tail latency under a best-effort
 //! contract: under overload they drop, under faults they serve whatever
@@ -122,7 +122,7 @@ pub mod snapshot;
 pub mod soak;
 pub mod traffic;
 
-pub use backend::{Backend, BatchVerdict, PipelineBackend, PoolBackend};
+pub use backend::{Backend, BatchVerdict, PoolBackend};
 pub use batcher::{BatchPolicy, ServiceModel};
 pub use cache::{CacheConfig, CachedResult, ResultCache};
 pub use clock::{ClockSource, SimClock, WallClock};

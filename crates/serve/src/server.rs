@@ -1636,12 +1636,21 @@ impl<B: Backend> Server<B> {
         for (pending, verdict) in items {
             let (stop, flagged, corrected, class, confidence) = match verdict {
                 BatchVerdict::Stop => (true, true, false, 0, 0.0),
+                // A non-finite confidence is not a verified result, whatever
+                // the backend claims: it fails closed as a flagged verdict
+                // (a strike on the ladder, never cached).
                 BatchVerdict::Ok {
                     class,
                     confidence,
                     flagged,
                     corrected,
-                } => (false, flagged, corrected, class, confidence),
+                } => (
+                    false,
+                    flagged || !confidence.is_finite(),
+                    corrected,
+                    class,
+                    confidence,
+                ),
             };
             // Corrected faults are warnings: the ladder only walks when
             // the bounded warning budget is exhausted.

@@ -11,8 +11,9 @@ use safex_core::health::{HealthConfig, HealthState};
 use safex_nn::model::ModelBuilder;
 use safex_nn::{CrcStrategy, EccConfig, Engine, HardenConfig, HardenedEngine, Model};
 use safex_serve::{
-    Arrival, ArrivalTrace, Backend, BatchPolicy, BatchVerdict, Fleet, ModelId, Outcome,
-    PoolBackend, Request, ServeError, Server, ServerConfig, ShedReason, Tier, TrafficConfig,
+    Arrival, ArrivalTrace, Backend, BatchPolicy, BatchVerdict, CacheConfig, Fleet, ModelId,
+    Outcome, PoolBackend, Request, ServeError, Server, ServerConfig, ShedReason, Tier,
+    TrafficConfig,
 };
 use safex_tensor::{DetRng, Shape};
 
@@ -300,7 +301,7 @@ fn weight_strike_walks_the_ladder_with_zero_silent_corruption() {
 
 #[test]
 fn fused_strategy_serves_byte_identically_to_full() {
-    // The fused verify-on-read kernels must be invisible at the serving
+    // `Fused` is an alias of `Full` and must be one at the serving
     // boundary: same verdicts, same ladder walk, same evidence — for a
     // clean run and for a mid-traffic strike, with and without repair.
     let (model, inputs) = fixture();
@@ -454,4 +455,83 @@ fn short_verdict_vector_fails_the_run_with_a_typed_error() {
         }
         other => panic!("expected a verdict-count error, got {other:?}"),
     }
+}
+
+/// A backend that answers every item unflagged with a non-finite
+/// confidence, alternating NaN and +inf.
+struct NonFiniteConfidence(u64);
+
+impl Backend for NonFiniteConfidence {
+    fn name(&self) -> &'static str {
+        "non_finite_confidence"
+    }
+
+    fn serve(&mut self, inputs: &[&[f32]]) -> Result<Vec<BatchVerdict>, ServeError> {
+        Ok(inputs
+            .iter()
+            .map(|_| {
+                self.0 += 1;
+                BatchVerdict::Ok {
+                    class: 1,
+                    confidence: if self.0.is_multiple_of(2) {
+                        f32::NAN
+                    } else {
+                        f32::INFINITY
+                    },
+                    flagged: false,
+                    corrected: false,
+                }
+            })
+            .collect())
+    }
+}
+
+#[test]
+fn non_finite_confidence_is_flagged_struck_and_never_cached() {
+    let (_, inputs) = fixture();
+    // One input, each request arriving after the previous one completed:
+    // had any result been cached, every later request would hit.
+    let arrivals: Vec<Arrival> = (0..12u64)
+        .map(|i| Arrival {
+            at: 1 + i * 40,
+            request: Request::new(i, inputs[0].clone(), Tier::High, 1 + i * 40 + 200),
+        })
+        .collect();
+    let trace = ArrivalTrace::from_arrivals(arrivals).unwrap();
+    let config = ServerConfig::default()
+        .with_health(strike_health())
+        .with_cache(CacheConfig::enabled(16));
+    let mut server = Server::single(config, NonFiniteConfidence(0)).unwrap();
+    let report = server.run_trace(&trace).unwrap();
+
+    let mut completed = 0;
+    for r in &report.responses {
+        if let Outcome::Completed {
+            confidence,
+            flagged,
+            cached,
+            ..
+        } = r.outcome
+        {
+            completed += 1;
+            assert!(!confidence.is_finite());
+            assert!(flagged, "request {} released unflagged", r.id);
+            assert!(!cached, "request {} answered from the cache", r.id);
+        }
+    }
+    assert!(completed >= 2, "NaN and +inf both reach release");
+    assert_eq!(report.snapshot.cache_hits, 0, "the cache learned nothing");
+    // Each verdict was a strike: the ladder left Nominal on the
+    // `degrade_events`-th one and kept walking.
+    let first = report.transitions.first().expect("the ladder walked");
+    assert_eq!(
+        (first.model, first.from, first.to, first.after_request),
+        (
+            ModelId::new(0),
+            HealthState::Nominal,
+            HealthState::Degraded,
+            1
+        )
+    );
+    assert_eq!(server.service_level(), HealthState::SafeStop);
 }

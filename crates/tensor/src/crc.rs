@@ -1,22 +1,19 @@
-//! CRC-32 primitives and the streaming verification digest the fused
-//! kernels accumulate.
+//! CRC-32 primitives and the weight digest the hardened engines check.
 //!
 //! The hardened engines in `safex-nn` pin every parametric layer to a
-//! CRC-32 golden checksum and (optionally) an ECC parity sidecar. Until
-//! PR 8 that verification was a *second* sweep over weight memory that
-//! the inference pass had just streamed — the dominant share of the
-//! hardening tax. This module hosts the checksum machinery at the tensor
-//! layer so the kernels in [`crate::ops`] can fold it into the matmul
-//! sweep itself:
+//! CRC-32 golden checksum and (optionally) an ECC parity sidecar, and
+//! verify both in one pre-pass over the layer's weights before the layer
+//! loop reads them:
 //!
-//! * [`crc32`] / [`crc32_words`] — the one-shot checksums (moved here
-//!   from `safex-nn`, which re-exports them unchanged).
+//! * [`crc32`] / [`crc32_words`] — the one-shot checksums (`safex-nn`
+//!   re-exports them unchanged).
 //! * [`CrcAccumulator`] — a streaming accumulator that is bit-identical
-//!   to [`crc32_words`] for *any* chunking of the word stream, so a
-//!   kernel can feed it one cache-hot weight row at a time.
-//! * [`WeightDigest`] — what a fused sweep returns: the CRC-32 word
-//!   checksum plus the XOR parity fold the ECC sidecar's column
-//!   signature is built from.
+//!   to [`crc32_words`] for *any* chunking of the word stream, so the
+//!   weight and bias buffers are digested in place, without concatenating
+//!   them.
+//! * [`WeightDigest`] — what one pass returns: the CRC-32 word checksum
+//!   plus the XOR parity fold the ECC sidecar's column signature is built
+//!   from, both for the cost of one read of the parameters.
 
 use crate::fixed::Q16_16;
 
@@ -27,9 +24,9 @@ use crate::fixed::Q16_16;
 /// the 32-bit running register.
 ///
 /// Bit-identical to the slicing tables for any input — it computes the
-/// same polynomial remainder, just ~an order of magnitude faster — so the
-/// fused verify-on-read kernels can checksum entire weight matrices for a
-/// small fraction of the inference cost. Heads, tails, and machines
+/// same polynomial remainder, just ~an order of magnitude faster — so a
+/// hardened engine can checksum entire weight matrices for a small
+/// fraction of the inference cost. Heads, tails, and machines
 /// without the instructions stay on the table path.
 #[cfg(all(target_arch = "x86_64", target_endian = "little"))]
 mod clmul {
@@ -242,7 +239,7 @@ pub fn crc32_words(words: impl IntoIterator<Item = u32>) -> u32 {
     !crc
 }
 
-/// What one fused kernel sweep attests about the parameters it streamed.
+/// What one digest pass attests about the parameters it read.
 ///
 /// `crc` is bit-identical to [`crc32_words`] over the layer's
 /// weights-then-bias word stream (the golden-checksum order); `parity`
@@ -263,10 +260,8 @@ pub struct WeightDigest {
 /// stream produces the same [`WeightDigest`] as a single
 /// [`crc32_words`] pass — chunk boundaries are invisible because an odd
 /// trailing word is held back (`pending`) and paired with the first word
-/// of the next slice, preserving the slicing-by-8 pair alignment. That
-/// is exactly what the fused kernels need: they digest one weight row at
-/// a time, while it is still cache-hot from the MAC loop, and rows may
-/// have odd lengths.
+/// of the next slice, preserving the slicing-by-8 pair alignment, so
+/// buffers of odd length (a weight matrix, then its bias) chain freely.
 #[derive(Debug, Clone)]
 pub struct CrcAccumulator {
     crc: u32,
@@ -388,7 +383,7 @@ impl CrcAccumulator {
 }
 
 /// One-shot [`WeightDigest`] over an `f32` weights-then-bias stream —
-/// the reference the fused kernels are pinned against.
+/// the check a hardened engine runs on each verified layer.
 pub fn digest_f32(weights: &[f32], bias: &[f32]) -> WeightDigest {
     let mut acc = CrcAccumulator::new();
     acc.update_f32(weights);

@@ -65,7 +65,6 @@ pub mod tensor;
 pub use crc::{CrcAccumulator, WeightDigest};
 pub use error::TensorError;
 pub use fixed::{Q16_16, Q8_24};
-pub use ops::DenseKernel;
 pub use rng::DetRng;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -15,9 +15,9 @@
 //!   the fixed-point variants) accumulators, so results are bit-for-bit
 //!   reproducible.
 //!
-//! # Why the blocked dense kernels are still `Exact`
+//! # Why the blocked dense kernels stay bit-exact
 //!
-//! [`DenseKernel::Exact`] fixes one thing per output: the *chain* for
+//! The dense kernels fix one thing per output: the *chain* for
 //! `(row, item)` is seeded with the bias and then adds `w[i] * x[i]` for
 //! `i = 0, 1, …` in order, in `f64`, and is cast to `f32` once at the
 //! end. Two facts let the kernels go fast without touching that chain:
@@ -42,7 +42,6 @@
 
 use std::cell::RefCell;
 
-use crate::crc::{CrcAccumulator, WeightDigest};
 use crate::error::TensorError;
 use crate::fixed::Q16_16;
 
@@ -75,42 +74,11 @@ pub fn matmul_into(
     Ok(())
 }
 
-/// Inner-product strategy for the dense layer — the hottest loop in the
-/// workspace (every engine, pool worker, and campaign cell runs it).
-///
-/// Both kernels are fully deterministic: each fixes its accumulation
-/// order and accumulator width, so repeated runs (and pooled runs, for
-/// any worker count) are bit-identical *within* a kernel. They are **not**
-/// guaranteed bit-identical to *each other*: `Chunked` reassociates the
-/// f64 sum, which can round differently after the final f32 cast.
-/// `Exact` therefore stays the default — it preserves the experiment E5
-/// baseline bit for bit — and `Chunked` is the opt-in fast path with its
-/// own determinism matrix (`tests/determinism.rs`).
-///
-/// `Exact` is *executed* register-blocked: several independent
-/// `(row, item)` chains advance together, each with exactly the operation
-/// sequence of the one-chain loop. `f32 × f32` products are exact in
-/// `f64` and chains share no accumulator, so the blocking cannot change
-/// a bit (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DenseKernel {
-    /// Per output, strict left-to-right f64 accumulation seeded with the
-    /// bias (one dependent chain per `(row, item)`; independent chains
-    /// run interleaved). Bit-compatible with every result recorded before
-    /// the kernel knob existed.
-    #[default]
-    Exact,
-    /// Four independent f64 accumulators over 4-element chunks, combined
-    /// as `(a0 + a1) + (a2 + a3) + tail`. The independent lanes break the
-    /// loop-carried dependence so the compiler can keep multiple FMAs in
-    /// flight / autovectorize; the combine order is fixed, so the result
-    /// is still a pure function of (weights, bias, x).
-    Chunked,
-}
-
 /// Dense (fully-connected) layer: `out = w (outputs x inputs) * x + bias`.
 ///
-/// Uses the [`DenseKernel::Exact`] accumulation order.
+/// Each output is one f64 chain seeded with the bias, adding `w[i] * x[i]`
+/// in input order; the kernel runs several rows' chains interleaved (see
+/// the [module docs](self)).
 ///
 /// # Errors
 ///
@@ -127,11 +95,11 @@ pub fn dense_into(
     check_len(bias, outputs)?;
     check_len(x, inputs)?;
     check_len(out, outputs)?;
-    dense_rows_exact(weights, bias, x, out, None);
+    dense_rows_exact(weights, bias, x, out);
     Ok(())
 }
 
-/// One [`DenseKernel::Exact`] inner product: strict left-to-right f64
+/// One dense inner product: strict left-to-right f64
 /// accumulation seeded with the bias. The blocked kernels below run
 /// several of these chains at once, each with this exact sequence.
 #[inline]
@@ -143,30 +111,22 @@ fn dense_row_exact(row: &[f32], x: &[f32], bias: f32) -> f32 {
     acc as f32
 }
 
-/// Output rows the single-item `Exact` kernel advances together.
+/// Output rows the single-item dense kernel advances together.
 const ROW_BLOCK: usize = 16;
 /// Inputs per step of a row block: the step's products are formed
 /// together, then added to each row's chain in input order.
 const ROW_STEP: usize = 4;
 
 thread_local! {
-    /// Item-minor f64 activation tile of the batched `Exact` kernel,
+    /// Item-minor f64 activation tile of the batched dense kernel,
     /// reused across calls on a thread (grows to `16 × inputs` once).
     static TILE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Single-item `Exact` dense layer, row-interleaved: [`ROW_BLOCK`] output
-/// rows advance together, each its own `dense_row_exact` chain; leftover
-/// rows run one chain each. With a digest, every weight row is digested
-/// in row order right after its block is computed (the bias is left to
-/// the caller, which keeps the golden weights-then-bias stream order).
-fn dense_rows_exact(
-    weights: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    mut digest: Option<&mut CrcAccumulator>,
-) {
+/// Single-item dense layer, row-interleaved: [`ROW_BLOCK`] output rows
+/// advance together, each its own `dense_row_exact` chain; leftover rows
+/// run one chain each.
+fn dense_rows_exact(weights: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
     let inputs = x.len();
     let outputs = out.len();
     let mut o = 0;
@@ -193,21 +153,15 @@ fn dense_rows_exact(
         for (dst, a) in out[o..o + ROW_BLOCK].iter_mut().zip(acc) {
             *dst = a as f32;
         }
-        if let Some(d) = digest.as_deref_mut() {
-            d.update_f32(&weights[o * inputs..(o + ROW_BLOCK) * inputs]);
-        }
         o += ROW_BLOCK;
     }
     for (o, dst) in out.iter_mut().enumerate().skip(o) {
         let row = &weights[o * inputs..(o + 1) * inputs];
         *dst = dense_row_exact(row, x, bias[o]);
-        if let Some(d) = digest.as_deref_mut() {
-            d.update_f32(row);
-        }
     }
 }
 
-/// One tile of the batched `Exact` kernel: `L` items starting at `item`
+/// One tile of the batched dense kernel: `L` items starting at `item`
 /// are transposed into the item-minor f64 `tile` (`tile[i * L + j]` is
 /// input `i` of item `j`), then every output row runs `L` chains in
 /// lockstep — one lane per item, each chain `dense_row_exact`'s sequence.
@@ -248,164 +202,18 @@ fn dense_tile_exact<const L: usize>(
     L
 }
 
-/// Batched `Exact` dense layer over an arena whose bounds the caller has
-/// checked: items go through the widest tile (16, 8 or 4 items) that
-/// still fits, and the last few (fewer than 4) through the
-/// row-interleaved single-item kernel.
-#[allow(clippy::too_many_arguments)]
-fn dense_batch_exact(
-    weights: &[f32],
-    bias: &[f32],
-    src: &[f32],
-    dst: &mut [f32],
-    inputs: usize,
-    outputs: usize,
-    batch: usize,
-    src_stride: usize,
-    dst_stride: usize,
-) {
-    let (w, b, s, d) = (weights, bias, src_stride, dst_stride);
-    TILE.with(|tile| {
-        let tile = &mut tile.borrow_mut();
-        let mut item = 0;
-        while item < batch {
-            item += match batch - item {
-                16.. => dense_tile_exact::<16>(w, b, src, dst, item, inputs, s, d, tile),
-                8.. => dense_tile_exact::<8>(w, b, src, dst, item, inputs, s, d, tile),
-                4.. => dense_tile_exact::<4>(w, b, src, dst, item, inputs, s, d, tile),
-                _ => {
-                    let x = &src[item * s..item * s + inputs];
-                    dense_rows_exact(w, b, x, &mut dst[item * d..item * d + outputs], None);
-                    1
-                }
-            };
-        }
-    });
-}
-
-/// One [`DenseKernel::Chunked`] inner product: four independent f64
-/// lanes over 4-element chunks plus a sequential tail, combined in a
-/// fixed order.
-#[inline]
-fn dense_row_chunked(row: &[f32], x: &[f32], bias: f32) -> f32 {
-    let mut lanes = [0.0f64; 4];
-    let mut rw = row.chunks_exact(4);
-    let mut rx = x.chunks_exact(4);
-    for (w4, x4) in (&mut rw).zip(&mut rx) {
-        lanes[0] += w4[0] as f64 * x4[0] as f64;
-        lanes[1] += w4[1] as f64 * x4[1] as f64;
-        lanes[2] += w4[2] as f64 * x4[2] as f64;
-        lanes[3] += w4[3] as f64 * x4[3] as f64;
-    }
-    let mut tail = bias as f64;
-    for (w, xi) in rw.remainder().iter().zip(rx.remainder()) {
-        tail += *w as f64 * *xi as f64;
-    }
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail) as f32
-}
-
-/// Dense layer with the [`DenseKernel::Chunked`] inner product: four
-/// independent f64 accumulators over 4-element chunks, sequential tail,
-/// combined in a fixed order. Deterministic (see [`DenseKernel`]) but not
-/// bit-identical to [`dense_into`] in general.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] on dimension disagreement.
-pub fn dense_into_chunked(
-    weights: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    inputs: usize,
-    outputs: usize,
-) -> Result<(), TensorError> {
-    check_len(weights, inputs * outputs)?;
-    check_len(bias, outputs)?;
-    check_len(x, inputs)?;
-    check_len(out, outputs)?;
-    for o in 0..outputs {
-        let row = &weights[o * inputs..(o + 1) * inputs];
-        out[o] = dense_row_chunked(row, x, bias[o]);
-    }
-    Ok(())
-}
-
-/// Dense layer dispatching on a [`DenseKernel`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] on dimension disagreement.
-pub fn dense_into_with(
-    kernel: DenseKernel,
-    weights: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    inputs: usize,
-    outputs: usize,
-) -> Result<(), TensorError> {
-    match kernel {
-        DenseKernel::Exact => dense_into(weights, bias, x, out, inputs, outputs),
-        DenseKernel::Chunked => dense_into_chunked(weights, bias, x, out, inputs, outputs),
-    }
-}
-
-/// Dense layer with fused verify-on-read: one sweep computes the outputs
-/// *and* accumulates the [`WeightDigest`] over the weights-then-bias word
-/// stream, i.e. the golden-checksum order.
-///
-/// Each weight row is digested immediately after its MAC loop, while the
-/// row is still cache-hot, so verification rides the memory traffic the
-/// inference pass already paid for instead of a second sweep. The bias
-/// (a few words) is digested in a trailing pass to preserve the stream
-/// order. Outputs are bit-identical to [`dense_into_with`] with the same
-/// kernel; the digest is bit-identical to [`crate::crc::digest_f32`]
-/// over the same buffers.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] on dimension disagreement.
-pub fn dense_into_digest(
-    kernel: DenseKernel,
-    weights: &[f32],
-    bias: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    inputs: usize,
-    outputs: usize,
-) -> Result<WeightDigest, TensorError> {
-    check_len(weights, inputs * outputs)?;
-    check_len(bias, outputs)?;
-    check_len(x, inputs)?;
-    check_len(out, outputs)?;
-    let mut digest = CrcAccumulator::new();
-    match kernel {
-        DenseKernel::Exact => dense_rows_exact(weights, bias, x, out, Some(&mut digest)),
-        DenseKernel::Chunked => {
-            for o in 0..outputs {
-                let row = &weights[o * inputs..(o + 1) * inputs];
-                out[o] = dense_row_chunked(row, x, bias[o]);
-                digest.update_f32(row);
-            }
-        }
-    }
-    digest.update_f32(bias);
-    Ok(digest.finish())
-}
-
 /// Dense layer over a batch-major activation arena: `batch` input rows
 /// spaced `src_stride` apart in `src`, output rows written `dst_stride`
 /// apart in `dst`.
 ///
-/// Under [`DenseKernel::Exact`] items are transposed, a tile at a time,
-/// into an item-minor f64 tile and every weight row is streamed once per
-/// tile, advancing one accumulator chain per item in lockstep (see the
-/// [module docs](self) for why this stays bit-identical); under
-/// [`DenseKernel::Chunked`] each weight row is streamed once per batch.
-/// Either way every per-item inner product uses exactly the arithmetic of
-/// [`dense_into_with`], so results are bit-identical to running the
-/// per-item kernel on each row separately.
+/// Items are transposed, a tile at a time, into an item-minor f64 tile
+/// and every weight row is streamed once per tile, advancing one
+/// accumulator chain per item in lockstep (see the [module docs](self)
+/// for why this stays bit-identical): every per-item inner product uses
+/// exactly the arithmetic of [`dense_into`], so results are
+/// bit-identical to running it on each row separately. Items go through
+/// the widest tile (16, 8 or 4 items) that still fits, and the last few
+/// (fewer than 4) through the row-interleaved single-item kernel.
 ///
 /// # Errors
 ///
@@ -414,7 +222,6 @@ pub fn dense_into_digest(
 /// it must hold.
 #[allow(clippy::too_many_arguments)]
 pub fn dense_batch_into_with(
-    kernel: DenseKernel,
     weights: &[f32],
     bias: &[f32],
     src: &[f32],
@@ -449,23 +256,23 @@ pub fn dense_batch_into_with(
             actual: dst.len(),
         });
     }
-    match kernel {
-        DenseKernel::Exact => dense_batch_exact(
-            weights, bias, src, dst, inputs, outputs, batch, src_stride, dst_stride,
-        ),
-        DenseKernel::Chunked => {
-            // The chunked kernel already runs four lanes per item; keep
-            // the straightforward item loop.
-            for o in 0..outputs {
-                let row = &weights[o * inputs..(o + 1) * inputs];
-                let b = bias[o];
-                for item in 0..batch {
-                    let x = &src[item * src_stride..item * src_stride + inputs];
-                    dst[item * dst_stride + o] = dense_row_chunked(row, x, b);
+    let (w, b, s, d) = (weights, bias, src_stride, dst_stride);
+    TILE.with(|tile| {
+        let tile = &mut tile.borrow_mut();
+        let mut item = 0;
+        while item < batch {
+            item += match batch - item {
+                16.. => dense_tile_exact::<16>(w, b, src, dst, item, inputs, s, d, tile),
+                8.. => dense_tile_exact::<8>(w, b, src, dst, item, inputs, s, d, tile),
+                4.. => dense_tile_exact::<4>(w, b, src, dst, item, inputs, s, d, tile),
+                _ => {
+                    let x = &src[item * s..item * s + inputs];
+                    dense_rows_exact(w, b, x, &mut dst[item * d..item * d + outputs]);
+                    1
                 }
-            }
+            };
         }
-    }
+    });
     Ok(())
 }
 
@@ -498,73 +305,6 @@ pub fn conv2d_into(
     stride: usize,
     padding: usize,
 ) -> Result<(), TensorError> {
-    conv2d_into_impl(
-        x, weights, bias, out, in_c, in_h, in_w, out_c, k_h, k_w, stride, padding, None,
-    )
-}
-
-/// 2-D convolution with fused verify-on-read: identical outputs to
-/// [`conv2d_into`], plus the [`WeightDigest`] over the weights-then-bias
-/// word stream accumulated during the sweep. Each output channel's
-/// weight block is digested right after that channel's spatial loop
-/// finishes streaming it; blocks in channel order concatenate to the
-/// linear weight buffer, so the digest is bit-identical to
-/// [`crate::crc::digest_f32`] over the same buffers.
-///
-/// # Errors
-///
-/// Same contract as [`conv2d_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_into_digest(
-    x: &[f32],
-    weights: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    in_c: usize,
-    in_h: usize,
-    in_w: usize,
-    out_c: usize,
-    k_h: usize,
-    k_w: usize,
-    stride: usize,
-    padding: usize,
-) -> Result<WeightDigest, TensorError> {
-    let mut digest = CrcAccumulator::new();
-    conv2d_into_impl(
-        x,
-        weights,
-        bias,
-        out,
-        in_c,
-        in_h,
-        in_w,
-        out_c,
-        k_h,
-        k_w,
-        stride,
-        padding,
-        Some(&mut digest),
-    )?;
-    digest.update_f32(bias);
-    Ok(digest.finish())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn conv2d_into_impl(
-    x: &[f32],
-    weights: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-    in_c: usize,
-    in_h: usize,
-    in_w: usize,
-    out_c: usize,
-    k_h: usize,
-    k_w: usize,
-    stride: usize,
-    padding: usize,
-    mut digest: Option<&mut CrcAccumulator>,
-) -> Result<(), TensorError> {
     if stride == 0 {
         return Err(TensorError::InvalidArgument(
             "stride must be non-zero".into(),
@@ -576,7 +316,6 @@ fn conv2d_into_impl(
     check_len(bias, out_c)?;
     check_len(out, out_c * out_h * out_w)?;
 
-    let block = in_c * k_h * k_w;
     for oc in 0..out_c {
         for oy in 0..out_h {
             for ox in 0..out_w {
@@ -602,11 +341,6 @@ fn conv2d_into_impl(
                 }
                 out[oc * out_h * out_w + oy * out_w + ox] = acc as f32;
             }
-        }
-        // Digest this channel's weight block while it is still cache-hot
-        // from the spatial loop above.
-        if let Some(acc) = digest.as_deref_mut() {
-            acc.update_f32(&weights[oc * block..(oc + 1) * block]);
         }
     }
     Ok(())
@@ -819,36 +553,6 @@ fn dense_q16_row(row: &[Q16_16], x: &[Q16_16], bias: Q16_16) -> Q16_16 {
     q32_32_to_q16_16(acc)
 }
 
-/// Fixed-point dense layer with fused verify-on-read: the Q16.16
-/// counterpart of [`dense_into_digest`]. Outputs are bit-identical to
-/// [`dense_q16_into`]; the digest is bit-identical to
-/// [`crate::crc::digest_q16`] over the same buffers.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] on dimension disagreement.
-pub fn dense_q16_into_digest(
-    weights: &[Q16_16],
-    bias: &[Q16_16],
-    x: &[Q16_16],
-    out: &mut [Q16_16],
-    inputs: usize,
-    outputs: usize,
-) -> Result<WeightDigest, TensorError> {
-    check_len(weights, inputs * outputs)?;
-    check_len(bias, outputs)?;
-    check_len(x, inputs)?;
-    check_len(out, outputs)?;
-    let mut digest = CrcAccumulator::new();
-    for o in 0..outputs {
-        let row = &weights[o * inputs..(o + 1) * inputs];
-        out[o] = dense_q16_row(row, x, bias[o]);
-        digest.update_q16(row);
-    }
-    digest.update_q16(bias);
-    Ok(digest.finish())
-}
-
 /// Fixed-point dense layer over a batch-major activation arena: the
 /// Q16.16 counterpart of [`dense_batch_into_with`], bit-identical per
 /// item to [`dense_q16_into`].
@@ -965,76 +669,11 @@ pub fn conv2d_q16_into(
     stride: usize,
     padding: usize,
 ) -> Result<(), TensorError> {
-    conv2d_q16_into_impl(
-        x, weights, bias, out, in_c, in_h, in_w, out_c, k_h, k_w, stride, padding, None,
-    )
-}
-
-/// Fixed-point 2-D convolution with fused verify-on-read: the Q16.16
-/// counterpart of [`conv2d_into_digest`]. Outputs are bit-identical to
-/// [`conv2d_q16_into`]; the digest is bit-identical to
-/// [`crate::crc::digest_q16`] over the same buffers.
-///
-/// # Errors
-///
-/// Same contract as [`conv2d_q16_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_q16_into_digest(
-    x: &[Q16_16],
-    weights: &[Q16_16],
-    bias: &[Q16_16],
-    out: &mut [Q16_16],
-    in_c: usize,
-    in_h: usize,
-    in_w: usize,
-    out_c: usize,
-    k_h: usize,
-    k_w: usize,
-    stride: usize,
-    padding: usize,
-) -> Result<WeightDigest, TensorError> {
-    let mut digest = CrcAccumulator::new();
-    conv2d_q16_into_impl(
-        x,
-        weights,
-        bias,
-        out,
-        in_c,
-        in_h,
-        in_w,
-        out_c,
-        k_h,
-        k_w,
-        stride,
-        padding,
-        Some(&mut digest),
-    )?;
-    digest.update_q16(bias);
-    Ok(digest.finish())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn conv2d_q16_into_impl(
-    x: &[Q16_16],
-    weights: &[Q16_16],
-    bias: &[Q16_16],
-    out: &mut [Q16_16],
-    in_c: usize,
-    in_h: usize,
-    in_w: usize,
-    out_c: usize,
-    k_h: usize,
-    k_w: usize,
-    stride: usize,
-    padding: usize,
-    mut digest: Option<&mut CrcAccumulator>,
-) -> Result<(), TensorError> {
     let (out_h, out_w) = conv2d_output_dims(in_h, in_w, k_h, k_w, stride, padding)?;
     check_len(x, in_c * in_h * in_w)?;
     check_len(weights, out_c * in_c * k_h * k_w)?;
     check_len(bias, out_c)?;
     check_len(out, out_c * out_h * out_w)?;
-    let block = in_c * k_h * k_w;
     for oc in 0..out_c {
         for oy in 0..out_h {
             for ox in 0..out_w {
@@ -1059,10 +698,6 @@ fn conv2d_q16_into_impl(
                 }
                 out[oc * out_h * out_w + oy * out_w + ox] = q32_32_to_q16_16(acc);
             }
-        }
-        // Digest this channel's weight block while it is still cache-hot.
-        if let Some(acc) = digest.as_deref_mut() {
-            acc.update_q16(&weights[oc * block..(oc + 1) * block]);
         }
     }
     Ok(())
@@ -1158,58 +793,6 @@ mod tests {
         let mut out = [0.0; 3];
         dense_into(&w, &b, &x, &mut out, 2, 3).unwrap();
         assert_eq!(out, [2.5, 2.5, 5.0]);
-    }
-
-    #[test]
-    fn dense_chunked_matches_manual_and_is_deterministic() {
-        // 2 inputs -> 3 outputs: short rows exercise the pure-tail path.
-        let w = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0];
-        let b = [0.5, -0.5, 0.0];
-        let x = [2.0, 3.0];
-        let mut out = [0.0; 3];
-        dense_into_chunked(&w, &b, &x, &mut out, 2, 3).unwrap();
-        assert_eq!(out, [2.5, 2.5, 5.0]);
-
-        // Long row with a remainder (11 = 2 chunks of 4 + tail of 3):
-        // repeated evaluation must be bit-identical, and close to exact.
-        let inputs = 11;
-        let w: Vec<f32> = (0..inputs).map(|i| (i as f32 * 0.37).sin()).collect();
-        let x: Vec<f32> = (0..inputs).map(|i| (i as f32 * 0.21).cos()).collect();
-        let b = [0.125f32];
-        let mut exact = [0.0f32];
-        let mut chunked = [0.0f32];
-        dense_into(&w, &b, &x, &mut exact, inputs, 1).unwrap();
-        dense_into_chunked(&w, &b, &x, &mut chunked, inputs, 1).unwrap();
-        assert!((exact[0] - chunked[0]).abs() <= exact[0].abs() * 1e-6 + 1e-6);
-        for _ in 0..8 {
-            let mut again = [0.0f32];
-            dense_into_chunked(&w, &b, &x, &mut again, inputs, 1).unwrap();
-            assert_eq!(again, chunked, "chunked kernel must be run-to-run exact");
-        }
-        let mut via_dispatch = [0.0f32];
-        dense_into_with(
-            DenseKernel::Chunked,
-            &w,
-            &b,
-            &x,
-            &mut via_dispatch,
-            inputs,
-            1,
-        )
-        .unwrap();
-        assert_eq!(via_dispatch, chunked);
-        dense_into_with(DenseKernel::Exact, &w, &b, &x, &mut via_dispatch, inputs, 1).unwrap();
-        assert_eq!(via_dispatch, exact);
-    }
-
-    #[test]
-    fn dense_chunked_rejects_bad_lengths() {
-        let w = [1.0; 6];
-        let b = [0.0; 3];
-        let x = [1.0; 2];
-        let mut out = [0.0; 3];
-        assert!(dense_into_chunked(&w, &b, &x, &mut out, 3, 3).is_err());
-        assert!(dense_into_chunked(&w, &b, &x, &mut out, 2, 2).is_err());
     }
 
     #[test]
@@ -1418,98 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_dense_matches_plain_and_reference_digest() {
-        let (inputs, outputs) = (11, 5); // odd row length crosses pair alignment
-        let w = ramp(inputs * outputs, 0.37);
-        let b = ramp(outputs, 0.11);
-        let x = ramp(inputs, 0.23);
-        for kernel in [DenseKernel::Exact, DenseKernel::Chunked] {
-            let mut plain = vec![0.0f32; outputs];
-            dense_into_with(kernel, &w, &b, &x, &mut plain, inputs, outputs).unwrap();
-            let mut fused = vec![0.0f32; outputs];
-            let digest =
-                dense_into_digest(kernel, &w, &b, &x, &mut fused, inputs, outputs).unwrap();
-            assert_eq!(
-                fused, plain,
-                "{kernel:?}: fused outputs must be bit-identical"
-            );
-            assert_eq!(digest, crate::crc::digest_f32(&w, &b), "{kernel:?}");
-        }
-    }
-
-    #[test]
-    fn fused_conv_matches_plain_and_reference_digest() {
-        let (in_c, in_h, in_w, out_c, k) = (2, 5, 4, 3, 2);
-        let x = ramp(in_c * in_h * in_w, 0.19);
-        let w = ramp(out_c * in_c * k * k, 0.29);
-        let b = ramp(out_c, 0.41);
-        let (oh, ow) = conv2d_output_dims(in_h, in_w, k, k, 1, 1).unwrap();
-        let mut plain = vec![0.0f32; out_c * oh * ow];
-        conv2d_into(&x, &w, &b, &mut plain, in_c, in_h, in_w, out_c, k, k, 1, 1).unwrap();
-        let mut fused = vec![0.0f32; out_c * oh * ow];
-        let digest =
-            conv2d_into_digest(&x, &w, &b, &mut fused, in_c, in_h, in_w, out_c, k, k, 1, 1)
-                .unwrap();
-        assert_eq!(fused, plain);
-        assert_eq!(digest, crate::crc::digest_f32(&w, &b));
-    }
-
-    #[test]
-    fn fused_q16_kernels_match_plain_and_reference_digest() {
-        let q = |v: &[f32]| -> Vec<Q16_16> { v.iter().map(|&f| Q16_16::from_f32(f)).collect() };
-        let (inputs, outputs) = (7, 3);
-        let w = q(&ramp(inputs * outputs, 0.31));
-        let b = q(&ramp(outputs, 0.13));
-        let x = q(&ramp(inputs, 0.27));
-        let mut plain = vec![Q16_16::ZERO; outputs];
-        dense_q16_into(&w, &b, &x, &mut plain, inputs, outputs).unwrap();
-        let mut fused = vec![Q16_16::ZERO; outputs];
-        let digest = dense_q16_into_digest(&w, &b, &x, &mut fused, inputs, outputs).unwrap();
-        assert_eq!(fused, plain);
-        assert_eq!(digest, crate::crc::digest_q16(&w, &b));
-
-        let (in_c, in_h, in_w, out_c, k) = (1, 4, 4, 2, 2);
-        let cx = q(&ramp(in_c * in_h * in_w, 0.17));
-        let cw = q(&ramp(out_c * in_c * k * k, 0.21));
-        let cb = q(&ramp(out_c, 0.33));
-        let (oh, ow) = conv2d_output_dims(in_h, in_w, k, k, 1, 0).unwrap();
-        let mut cplain = vec![Q16_16::ZERO; out_c * oh * ow];
-        conv2d_q16_into(
-            &cx,
-            &cw,
-            &cb,
-            &mut cplain,
-            in_c,
-            in_h,
-            in_w,
-            out_c,
-            k,
-            k,
-            1,
-            0,
-        )
-        .unwrap();
-        let mut cfused = vec![Q16_16::ZERO; out_c * oh * ow];
-        let cdigest = conv2d_q16_into_digest(
-            &cx,
-            &cw,
-            &cb,
-            &mut cfused,
-            in_c,
-            in_h,
-            in_w,
-            out_c,
-            k,
-            k,
-            1,
-            0,
-        )
-        .unwrap();
-        assert_eq!(cfused, cplain);
-        assert_eq!(cdigest, crate::crc::digest_q16(&cw, &cb));
-    }
-
-    #[test]
     fn batched_dense_is_bit_identical_to_per_item() {
         let (inputs, outputs, batch, stride) = (9, 4, 5, 12); // stride > rows: arena slack
         let w = ramp(inputs * outputs, 0.37);
@@ -1519,22 +1010,20 @@ mod tests {
             let x = ramp(inputs, 0.1 + item as f32 * 0.07);
             src[item * stride..item * stride + inputs].copy_from_slice(&x);
         }
-        for kernel in [DenseKernel::Exact, DenseKernel::Chunked] {
-            let mut dst = vec![0.0f32; batch * stride];
-            dense_batch_into_with(
-                kernel, &w, &b, &src, &mut dst, inputs, outputs, batch, stride, stride,
-            )
-            .unwrap();
-            for item in 0..batch {
-                let mut solo = vec![0.0f32; outputs];
-                let x = &src[item * stride..item * stride + inputs];
-                dense_into_with(kernel, &w, &b, x, &mut solo, inputs, outputs).unwrap();
-                assert_eq!(
-                    &dst[item * stride..item * stride + outputs],
-                    solo.as_slice(),
-                    "{kernel:?} item {item}"
-                );
-            }
+        let mut dst = vec![0.0f32; batch * stride];
+        dense_batch_into_with(
+            &w, &b, &src, &mut dst, inputs, outputs, batch, stride, stride,
+        )
+        .unwrap();
+        for item in 0..batch {
+            let mut solo = vec![0.0f32; outputs];
+            let x = &src[item * stride..item * stride + inputs];
+            dense_into(&w, &b, x, &mut solo, inputs, outputs).unwrap();
+            assert_eq!(
+                &dst[item * stride..item * stride + outputs],
+                solo.as_slice(),
+                "item {item}"
+            );
         }
     }
 
@@ -1573,16 +1062,10 @@ mod tests {
         let src = [0.0f32; 8];
         let mut dst = [0.0f32; 8];
         // Stride smaller than the input row.
-        assert!(
-            dense_batch_into_with(DenseKernel::Exact, &w, &b, &src, &mut dst, 2, 3, 4, 1, 4)
-                .is_err()
-        );
+        assert!(dense_batch_into_with(&w, &b, &src, &mut dst, 2, 3, 4, 1, 4).is_err());
         // Arena too short for the batch.
-        assert!(
-            dense_batch_into_with(DenseKernel::Exact, &w, &b, &src, &mut dst, 2, 3, 5, 4, 4)
-                .is_err()
-        );
+        assert!(dense_batch_into_with(&w, &b, &src, &mut dst, 2, 3, 5, 4, 4).is_err());
         // Empty batch is a no-op.
-        dense_batch_into_with(DenseKernel::Exact, &w, &b, &src, &mut dst, 2, 3, 0, 4, 4).unwrap();
+        dense_batch_into_with(&w, &b, &src, &mut dst, 2, 3, 0, 4, 4).unwrap();
     }
 }

@@ -1,11 +1,11 @@
 //! Property-based tests for the tensor substrate.
 
 use proptest::prelude::*;
-use safex_tensor::crc::{crc32_words, digest_f32};
+use safex_tensor::crc::{crc32_words, digest_f32, digest_q16};
 use safex_tensor::fixed::Q16_16;
 use safex_tensor::ops;
 use safex_tensor::stats::Histogram;
-use safex_tensor::{DenseKernel, DetRng, Shape, Tensor};
+use safex_tensor::{DetRng, Shape, Tensor};
 
 proptest! {
     // ----- kernels against naive references -----
@@ -200,97 +200,37 @@ proptest! {
         prop_assert!(ab.all_finite());
     }
 
-    // ----- fused verify-on-read digests -----
+    // ----- the weight digest the hardened pre-pass checks -----
 
     #[test]
-    fn fused_dense_digest_equals_reference_crc(
+    fn weight_digest_equals_reference_crc_and_parity(
         seed in any::<u64>(),
-        inputs in 1usize..24,
-        outputs in 1usize..24,
-        chunked in any::<bool>(),
+        weights in 0usize..80,
+        bias in 0usize..24,
     ) {
+        // The digest must equal the one-shot CRC over the weights-then-bias
+        // word stream, and its parity must be the plain XOR fold of that
+        // stream, for f32 and Q16.16 alike and for odd buffer lengths.
         let mut rng = DetRng::new(seed);
-        let w: Vec<f32> = (0..inputs * outputs).map(|_| rng.next_f32() - 0.5).collect();
-        let b: Vec<f32> = (0..outputs).map(|_| rng.next_f32()).collect();
-        let x: Vec<f32> = (0..inputs).map(|_| rng.next_f32()).collect();
-        let kernel = if chunked { DenseKernel::Chunked } else { DenseKernel::Exact };
-        let mut fused = vec![0.0f32; outputs];
-        let digest =
-            ops::dense_into_digest(kernel, &w, &b, &x, &mut fused, inputs, outputs).expect("dense");
-        // The digest must equal the standalone second-sweep CRC over the
-        // same word stream (weights then bias), and its parity must be
-        // the plain XOR fold of that stream.
+        let w: Vec<f32> = (0..weights).map(|_| rng.next_f32() - 0.5).collect();
+        let b: Vec<f32> = (0..bias).map(|_| rng.next_f32()).collect();
         let words: Vec<u32> = w.iter().chain(&b).map(|v| v.to_bits()).collect();
+        let digest = digest_f32(&w, &b);
         prop_assert_eq!(digest.crc, crc32_words(words.iter().copied()));
         prop_assert_eq!(digest.parity, words.iter().fold(0u32, |acc, &v| acc ^ v));
-        // And the fused kernel's arithmetic is bit-identical to the plain
-        // kernel's: accumulation may not change because a digest rides along.
-        let mut plain = vec![0.0f32; outputs];
-        ops::dense_into_with(kernel, &w, &b, &x, &mut plain, inputs, outputs).expect("dense");
-        let fb: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-        let pb: Vec<u32> = plain.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(fb, pb);
-    }
 
-    #[test]
-    fn fused_conv_digest_equals_reference_crc(
-        seed in any::<u64>(),
-        in_c in 1usize..3,
-        out_c in 1usize..3,
-        in_h in 3usize..7,
-        in_w in 3usize..7,
-        k in 1usize..4,
-        padding in 0usize..2,
-    ) {
-        prop_assume!(k <= in_h + 2 * padding && k <= in_w + 2 * padding);
-        let mut rng = DetRng::new(seed);
-        let x: Vec<f32> = (0..in_c * in_h * in_w).map(|_| rng.next_f32()).collect();
-        let w: Vec<f32> = (0..out_c * in_c * k * k).map(|_| rng.next_f32() - 0.5).collect();
-        let b: Vec<f32> = (0..out_c).map(|_| rng.next_f32()).collect();
-        let (oh, ow) =
-            ops::conv2d_output_dims(in_h, in_w, k, k, 1, padding).expect("dims");
-        let mut fused = vec![0.0f32; out_c * oh * ow];
-        let digest = ops::conv2d_into_digest(
-            &x, &w, &b, &mut fused, in_c, in_h, in_w, out_c, k, k, 1, padding,
-        )
-        .expect("conv");
-        let words: Vec<u32> = w.iter().chain(&b).map(|v| v.to_bits()).collect();
-        prop_assert_eq!(digest.crc, crc32_words(words.iter().copied()));
-        prop_assert_eq!(digest.parity, words.iter().fold(0u32, |acc, &v| acc ^ v));
-        let mut plain = vec![0.0f32; out_c * oh * ow];
-        ops::conv2d_into(&x, &w, &b, &mut plain, in_c, in_h, in_w, out_c, k, k, 1, padding)
-            .expect("conv");
-        let fb: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-        let pb: Vec<u32> = plain.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(fb, pb);
-    }
-
-    #[test]
-    fn fused_q16_dense_digest_equals_reference_crc(
-        seed in any::<u64>(),
-        inputs in 1usize..24,
-        outputs in 1usize..24,
-    ) {
-        let mut rng = DetRng::new(seed);
-        let w: Vec<Q16_16> =
-            (0..inputs * outputs).map(|_| Q16_16::from_f32(rng.next_f32() - 0.5)).collect();
-        let b: Vec<Q16_16> = (0..outputs).map(|_| Q16_16::from_f32(rng.next_f32())).collect();
-        let x: Vec<Q16_16> = (0..inputs).map(|_| Q16_16::from_f32(rng.next_f32())).collect();
-        let mut fused = vec![Q16_16::ZERO; outputs];
-        let digest =
-            ops::dense_q16_into_digest(&w, &b, &x, &mut fused, inputs, outputs).expect("dense");
-        let words: Vec<u32> = w.iter().chain(&b).map(|v| v.to_bits() as u32).collect();
-        prop_assert_eq!(digest.crc, crc32_words(words.iter().copied()));
-        prop_assert_eq!(digest.parity, words.iter().fold(0u32, |acc, &v| acc ^ v));
-        let mut plain = vec![Q16_16::ZERO; outputs];
-        ops::dense_q16_into(&w, &b, &x, &mut plain, inputs, outputs).expect("dense");
-        prop_assert_eq!(fused, plain);
+        let qw: Vec<Q16_16> = w.iter().map(|&v| Q16_16::from_f32(v)).collect();
+        let qb: Vec<Q16_16> = b.iter().map(|&v| Q16_16::from_f32(v)).collect();
+        let qwords: Vec<u32> = qw.iter().chain(&qb).map(|v| v.to_bits() as u32).collect();
+        let qdigest = digest_q16(&qw, &qb);
+        prop_assert_eq!(qdigest.crc, crc32_words(qwords.iter().copied()));
+        prop_assert_eq!(qdigest.parity, qwords.iter().fold(0u32, |acc, &v| acc ^ v));
     }
 }
 
-// ----- blocked Exact dense kernels against the one-chain reference -----
+// ----- blocked dense kernels against the one-chain reference -----
 
-/// The `DenseKernel::Exact` contract, one chain: seed with the bias, add
+/// The dense kernels' contract, one chain: seed with the bias, add
 /// each f64 product left to right, cast once.
 fn reference_row(row: &[f32], x: &[f32], bias: f32) -> f32 {
     let mut acc = bias as f64;
@@ -329,8 +269,8 @@ fn value(rng: &mut DetRng, special_rate: usize) -> f32 {
     }
 }
 
-/// Checks `dense_into`, `dense_into_digest` and `dense_batch_into_with`
-/// (Exact) bit for bit against `reference_row`, item by item, for one
+/// Checks `dense_into` and `dense_batch_into_with` bit for bit against
+/// `reference_row`, item by item, for one
 /// shape; the arena rows are `pad` words wider than the data they hold.
 fn check_exact_kernels(
     seed: u64,
@@ -353,38 +293,18 @@ fn check_exact_kernels(
         .collect();
     let mut dst = vec![7.0f32; batch * dst_stride];
     ops::dense_batch_into_with(
-        DenseKernel::Exact,
-        &w,
-        &b,
-        &src,
-        &mut dst,
-        inputs,
-        outputs,
-        batch,
-        src_stride,
-        dst_stride,
+        &w, &b, &src, &mut dst, inputs, outputs, batch, src_stride, dst_stride,
     )
     .map_err(|e| e.to_string())?;
-    let golden = digest_f32(&w, &b);
     for item in 0..batch {
         let x = &src[item * src_stride..item * src_stride + inputs];
         let mut single = vec![0.0f32; outputs];
         ops::dense_into(&w, &b, x, &mut single, inputs, outputs).map_err(|e| e.to_string())?;
-        let mut fused = vec![0.0f32; outputs];
-        let digest =
-            ops::dense_into_digest(DenseKernel::Exact, &w, &b, x, &mut fused, inputs, outputs)
-                .map_err(|e| e.to_string())?;
-        if digest != golden {
-            return Err(format!(
-                "item {item}: fused digest {digest:?} != {golden:?}"
-            ));
-        }
         for o in 0..outputs {
             let want = bits(reference_row(&w[o * inputs..(o + 1) * inputs], x, b[o]));
             let got = [
                 ("dense_batch_into_with", dst[item * dst_stride + o]),
                 ("dense_into", single[o]),
-                ("dense_into_digest", fused[o]),
             ];
             for (kernel, v) in got {
                 if bits(v) != want {

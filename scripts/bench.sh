@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark runner: executes the overhead-relevant experiment benches
 # (E6 pipeline cost, E10 throughput, E11 hardening overhead, E12 serving,
-# E14 fleet serving, E15 soak runtime, E16 fused verify-on-read,
+# E14 fleet serving, E15 soak runtime, E16 hardened decision cost,
 # E17 falsification search, E18 fuzz smoke)
 # and collects machine-readable medians.
 #
@@ -52,10 +52,11 @@ for prefix in e6_pipeline_decide e10_batch_256 e11_hardened_inference e12_servin
 done
 echo "All expected benchmark groups present."
 
-# Perf floor for the fused verify-on-read kernels: hardened inference
-# with in-pass digests must stay within 2.0x of the bare engine. The
-# ratio is generous against the 1.5x full-run target so CI jitter in
-# --quick mode does not flap the gate.
+# Perf floor for the hardened decision: inference whose weights are
+# checked every decision by the pre-pass (CRC-32 and parity of every
+# parametric layer before the layer loop, `Fused` = `Full`) must stay
+# within 2.0x of the bare engine. The ratio is generous against the 1.5x
+# full-run target so CI jitter in --quick mode does not flap the gate.
 median() {
     grep "\"id\":\"$1\"" "$OUT" | sed -n 's/.*"median_ns":\([0-9]*\).*/\1/p' | head -1
 }
@@ -66,7 +67,7 @@ if [[ -n "$BARE" && -n "$FUSED" && "$BARE" -gt 0 ]]; then
     echo "fused/bare per-decision ratio: ${RATIO_X100}% (fused ${FUSED}ns vs bare ${BARE}ns)"
     if [[ "$RATIO_X100" -gt 200 ]]; then
         echo "error: fused every-decision hardening costs ${RATIO_X100}% of bare (>200%)." >&2
-        echo "       The in-pass digest sweep regressed; see crates/tensor/src/ops.rs." >&2
+        echo "       The weight-check pre-pass regressed; see crates/tensor/src/crc.rs." >&2
         exit 1
     fi
 else

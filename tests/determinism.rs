@@ -242,63 +242,11 @@ fn pool_classification_matrix_consistent() {
     }
 }
 
-/// The chunked dense kernel's own determinism matrix: it reassociates the
-/// f64 accumulation (so it is *not* bit-compatible with `Exact`, which is
-/// why `Exact` stays the default), but it must be bit-identical across
-/// runs, engines, and pool worker counts, and numerically within 1e-5 of
-/// the exact kernel.
-#[test]
-fn chunked_kernel_bit_identical_across_runs_and_worker_counts() {
-    use safexplain::nn::{DenseKernel, EnginePool};
-
-    let data = dataset(10, 16);
-    let model = demo::train_mlp(&data, 10, 6).expect("train");
-    let inputs: Vec<Vec<f32>> = data.samples().iter().map(|s| s.input.clone()).collect();
-
-    let mut chunked = Engine::with_kernel(model.clone(), DenseKernel::Chunked);
-    let expected: Vec<Vec<f32>> = inputs
-        .iter()
-        .map(|x| chunked.infer(x).expect("infer").to_vec())
-        .collect();
-
-    // Run-to-run and engine-to-engine bit equality.
-    let mut again = Engine::with_kernel(model.clone(), DenseKernel::Chunked);
-    for (x, exp) in inputs.iter().zip(&expected) {
-        assert_eq!(chunked.infer(x).expect("infer"), &exp[..]);
-        assert_eq!(again.infer(x).expect("infer"), &exp[..]);
-    }
-
-    // Numerically tracks the exact kernel.
-    let mut exact = Engine::new(model.clone());
-    for (x, exp) in inputs.iter().zip(&expected) {
-        for (c, e) in exp.iter().zip(exact.infer(x).expect("infer")) {
-            assert!(
-                (c - e).abs() < 1e-5,
-                "chunked kernel drifted from exact: {c} vs {e}"
-            );
-        }
-    }
-
-    // Worker-count matrix: static partitioning makes the kernel choice
-    // orthogonal to pooling.
-    for workers in [1usize, 2, 4, 8] {
-        let mut pool =
-            EnginePool::with_kernel(model.clone(), workers, DenseKernel::Chunked).expect("pool");
-        let outputs = pool.infer_batch(&inputs).expect("batch");
-        for (out, exp) in outputs.iter().zip(&expected) {
-            let ob: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            let eb: Vec<u32> = exp.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ob, eb, "chunked bits diverged at {workers} workers");
-        }
-    }
-}
-
-/// The fused verify-on-read strategy joins the kernel matrix: hardened
-/// pools running `CrcStrategy::Fused` must be bit-identical to the
-/// sequential hardened engine for every worker count in {1, 2, 4, 8},
-/// for both the float and the Q16.16 engine — and, with pristine
-/// weights, must reproduce the bare engines' answers exactly (the
-/// in-pass digest accumulation may not perturb the arithmetic).
+/// Hardened pools running `CrcStrategy::Fused` (an alias of `Full`) must
+/// be bit-identical to the sequential hardened engine for every worker
+/// count in {1, 2, 4, 8}, for both the float and the Q16.16 engine — and,
+/// with pristine weights, must reproduce the bare engines' answers
+/// exactly (the weight check may not perturb the arithmetic).
 #[test]
 fn fused_pool_matrix_bit_identical_for_float_and_quant() {
     use safexplain::nn::{
@@ -386,15 +334,15 @@ fn fused_pool_matrix_bit_identical_for_float_and_quant() {
 
 /// The batch-major hardened decision path behind `HardenedPool` must equal
 /// a sequential `classify_indexed` loop item by item — classification,
-/// events and injections — for both dense kernels, every CRC strategy,
-/// any worker count and any batch split, under an input + activation
-/// fault plan and a weight strike landing between batches.
+/// events and injections — for every CRC strategy, any worker count and
+/// any batch split, under an input + activation fault plan and a weight
+/// strike landing between batches.
 #[test]
-fn hardened_batch_path_matches_sequential_for_kernels_strategies_and_workers() {
+fn hardened_batch_path_matches_sequential_for_strategies_and_workers() {
     use safexplain::nn::layer::Layer;
     use safexplain::nn::{
-        ActivationFault, CheckedClassification, CrcStrategy, DenseKernel, EccConfig, FaultPlan,
-        HardenConfig, HardenedEngine, HardenedPool, InputFault,
+        ActivationFault, CheckedClassification, CrcStrategy, EccConfig, FaultPlan, HardenConfig,
+        HardenedEngine, HardenedPool, InputFault,
     };
 
     let data = dataset(10, 23);
@@ -412,47 +360,44 @@ fn hardened_batch_path_matches_sequential_for_kernels_strategies_and_workers() {
         let w = &mut d.weights_mut()[3];
         *w = f32::from_bits(w.to_bits() ^ (1 << 29));
     };
-    for kernel in [DenseKernel::Exact, DenseKernel::Chunked] {
-        for strategy in [CrcStrategy::Full, CrcStrategy::Rotating, CrcStrategy::Fused] {
-            let config = HardenConfig {
-                crc_cadence: 3,
-                crc_strategy: strategy,
-                repair: Some(EccConfig::default()),
-                ..HardenConfig::default()
-            };
-            let mut engine = HardenedEngine::new(model.clone(), config).expect("harden");
-            engine.set_kernel(kernel);
-            engine.calibrate(&inputs).expect("calibrate");
-            engine.set_plan(plan).expect("plan");
-            for batch in [1usize, 3, 16, 17] {
-                let struck_at = batch * (inputs.len() / batch / 2);
-                let mut seq = engine.clone();
-                let mut expected = Vec::new();
-                for (i, x) in inputs.iter().enumerate() {
-                    if i == struck_at {
-                        strike(&mut seq);
-                    }
-                    let classification = seq.classify_indexed(i as u64, x).expect("classify");
-                    expected.push(CheckedClassification {
-                        classification,
-                        events: seq.last_events().to_vec(),
-                        injections: seq.last_injections().to_vec(),
-                    });
+    for strategy in [CrcStrategy::Full, CrcStrategy::Rotating, CrcStrategy::Fused] {
+        let config = HardenConfig {
+            crc_cadence: 3,
+            crc_strategy: strategy,
+            repair: Some(EccConfig::default()),
+            ..HardenConfig::default()
+        };
+        let mut engine = HardenedEngine::new(model.clone(), config).expect("harden");
+        engine.calibrate(&inputs).expect("calibrate");
+        engine.set_plan(plan).expect("plan");
+        for batch in [1usize, 3, 16, 17] {
+            let struck_at = batch * (inputs.len() / batch / 2);
+            let mut seq = engine.clone();
+            let mut expected = Vec::new();
+            for (i, x) in inputs.iter().enumerate() {
+                if i == struck_at {
+                    strike(&mut seq);
                 }
-                for workers in [1usize, 2, 4, 8] {
-                    let mut pool = HardenedPool::new(&engine, workers).expect("pool");
-                    let mut got = Vec::new();
-                    for chunk in inputs.chunks(batch) {
-                        if pool.dispatched() as usize == struck_at {
-                            pool.engines_mut().iter_mut().for_each(&strike);
-                        }
-                        got.extend(pool.classify_batch(chunk).expect("batch"));
+                let classification = seq.classify_indexed(i as u64, x).expect("classify");
+                expected.push(CheckedClassification {
+                    classification,
+                    events: seq.last_events().to_vec(),
+                    injections: seq.last_injections().to_vec(),
+                });
+            }
+            for workers in [1usize, 2, 4, 8] {
+                let mut pool = HardenedPool::new(&engine, workers).expect("pool");
+                let mut got = Vec::new();
+                for chunk in inputs.chunks(batch) {
+                    if pool.dispatched() as usize == struck_at {
+                        pool.engines_mut().iter_mut().for_each(&strike);
                     }
-                    assert_eq!(
-                        got, expected,
-                        "{kernel:?} {strategy:?} batch {batch} workers {workers}"
-                    );
+                    got.extend(pool.classify_batch(chunk).expect("batch"));
                 }
+                assert_eq!(
+                    got, expected,
+                    "{strategy:?} batch {batch} workers {workers}"
+                );
             }
         }
     }
